@@ -8,6 +8,7 @@ to diff, hence the small hand-rolled emitter.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))  # escapes below U+0020
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     elif isinstance(obj, dict):
@@ -64,25 +65,22 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def dump_lines(records, path) -> None:
-    """Write one JSON object per line."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(dumps(rec))
-            fh.write("\n")
+def csv_text(header, rows) -> str:
+    """CSV with 17-significant-digit floats and no quoting (plain fields only)."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, (float, np.floating)):
+                cells.append(fmt_float(cell))
+            elif isinstance(cell, (int, np.integer)):
+                cells.append(str(int(cell)))
+            else:
+                cells.append(str(cell))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV with 17-significant-digit floats and no quoting (plain fields only)."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, (float, np.floating)):
-                    cells.append(fmt_float(cell))
-                elif isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+        fh.write(csv_text(header, rows))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cocycle, pesin, quasihyp, shadow, specmeas
 from . import systems as dyn
-from ._serialize import dumps, fmt_float
+from ._serialize import csv_text, dumps, fmt_float
 from .errors import (
     ConvergenceError,
     GeometryError,
@@ -105,21 +105,6 @@ def _resolve_point(opt, system):
     return x
 
 
-def _csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(fmt_float(cell))
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _jsonl(records):
     return "".join(dumps(rec) + "\n" for rec in records)
 
@@ -143,7 +128,7 @@ def cmd_exponents(opt):
                                          merge_tol=float(opt["merge_tol"]))
         for value, mult in zip(spec.exponents, spec.multiplicities):
             rows.append((s, value, mult))
-    return _csv(("sample", "exponent", "multiplicity"), rows)
+    return csv_text(("sample", "exponent", "multiplicity"), rows)
 
 
 def _classify_points(opt, system):
@@ -320,7 +305,7 @@ def cmd_measure(opt):
             horizon=int(opt["horizon"]), sample_orbits=int(opt["sample_orbits"]),
             seed=int(opt["seed"]))
         rows.append((int(budget), len(approx.points), dist))
-    return _csv(("budget", "period", "distance"), rows)
+    return csv_text(("budget", "period", "distance"), rows)
 
 
 def cmd_probe_l(opt):

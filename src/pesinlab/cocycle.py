@@ -1,13 +1,14 @@
 """Derivative cocycles along orbits: restricted norms, exponents, domination.
 
-The splitting is treated as a constant field in the given coordinates (true
-for every builtin system), so bundles are re-evaluated at each orbit point
-rather than numerically transported; transporting a non-dominant bundle is
-exponentially unstable.  Minimal norms on F are computed with forward
-products, which is stable when F dominates forward.  Operator norms on E use
-the identity ||Df^n|E(x)|| = 1 / m(Df^{-n}|E(f^n x)) and backward inverse
-products, stable because E dominates backward.  Both directions only need
-invertible derivatives, not an inverse formula for the map.
+The splitting E + F is a constant field in the given coordinates (true for
+every builtin system) and must be Df-invariant, so bundles are re-evaluated
+at each orbit point rather than numerically transported; transporting a
+non-dominant bundle is exponentially unstable.  With orthonormal bases, an
+invariant bundle B gives Df^n B = B R(n-1)...R(0) with R(t) = B^T Df(f^t x) B,
+so every restricted norm is a singular value of a forward product of small
+matrices: the largest for operator norms on E, the smallest for minimal
+norms on F.  The largest singular value needs no small direction, so the E
+side cannot underflow, and no derivative is ever inverted.
 """
 
 from __future__ import annotations
@@ -74,42 +75,29 @@ def minimal_norm(jac, basis=None):
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def _inverted(jacs):
-    try:
-        return np.linalg.inv(jacs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularRestrictionError(f"derivative not invertible along orbit: {exc}")
+# Largest invariance defect max |C^T Df B| accepted, relative to the largest
+# Jacobian entry along the orbit; C spans the orthogonal complement of B.
+_INVARIANCE_TOL = 1e-9
 
 
-def _min_sv(m):
-    """Smallest singular value over the last two axes; cheap for one column."""
+def _sv(m, top):
+    """Largest (``top``) or smallest singular value over the last two axes."""
     if m.shape[-1] == 1:
-        return np.sqrt(np.sum(m * m, axis=(-2, -1)))
-    return np.linalg.svd(m, compute_uv=False)[..., -1]
-
-
-def _min_sv_pos(m, n):
-    """_min_sv of a max-abs-rescaled product, rejecting float-range underflow.
-
-    A window whose restricted condition number passes 1/tiny leaves no bits
-    for the small direction; the caller must shorten the window.
-    """
-    sv = _min_sv(m)
-    if np.any(sv == 0.0):
-        raise SingularRestrictionError(
-            f"restricted product over {n} steps underflows the float range; "
-            "use a shorter window")
-    return sv
+        return np.abs(m[..., 0, 0])
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., 0] if top else sv[..., -1]
 
 
 class OrbitData:
-    """Orbit points and derivatives for a batch of initial conditions.
+    """Restricted derivative cocycle along the orbits of a batch of points.
 
-    Forward data covers times 0..n_fwd, backward times 0..-n_back; arrays
-    are indexed [time, batch, ...] and ``jac_at(t)`` is the derivative at
-    f^t(x).  Restricted norms are read off with :meth:`block_logs` (local
-    windows) and :meth:`full_e_logs` / :meth:`full_f_logs` (products from
-    time 0).
+    Holds R_E(t) = E^T Df(f^t x) E and R_F(t) = F^T Df(f^t x) F, with E and
+    F the orthonormalised bundle bases, for times t in [-n_back, n_fwd).
+    Restricted norms are singular values of forward products of these
+    matrices: :meth:`block_logs` multiplies them over windows,
+    :meth:`full_e_logs` / :meth:`full_f_logs` from time 0.  Raises
+    DegenerateSplittingError when Df moves a bundle off itself by more than
+    _INVARIANCE_TOL of the largest Jacobian entry.
     """
 
     def __init__(self, system, xs, splitting, n_fwd, n_back=0):
@@ -121,150 +109,99 @@ class OrbitData:
             raise DimensionMismatchError("splitting does not match system dimension")
         if n_back and not system.invertible:
             raise NotInvertibleError(f"{system.name} has no inverse for backward data")
-        self.system = system
-        self.splitting = splitting
         self.batch = xs.shape[0]
         self.n_fwd = int(n_fwd)
         self.n_back = int(n_back)
-        self.e0 = orthonormalize(splitting.e_basis)
-        self.f0 = orthonormalize(splitting.f_basis)
 
-        d = system.dim
-        self.pts_fwd = dyn.orbit_many(system, xs, self.n_fwd)
-        self.jac_fwd = system.jacobian_many(self.pts_fwd[:-1]) if self.n_fwd \
-            else np.zeros((0, self.batch, d, d))
-        self._inv_fwd = None
-
+        pts = dyn.orbit_many(system, xs, self.n_fwd)
+        pieces = [(slice(self.n_back, None), pts[:-1])]   # times 0..n_fwd-1
         if self.n_back:
-            back = np.empty((self.n_back + 1, self.batch, d))
-            back[0] = self.pts_fwd[0]
-            for t in range(self.n_back):
-                back[t + 1] = system.inverse_many(back[t])
-            self.pts_bwd = back
-            self.jac_bwd = system.jacobian_many(back)
-        else:
-            self.pts_bwd = self.pts_fwd[:1]
-            self.jac_bwd = None
-        self._inv_bwd = None
+            back = np.empty((self.n_back,) + pts.shape[1:])  # times -n_back..-1
+            cur = pts[0]
+            for t in range(self.n_back - 1, -1, -1):
+                cur = system.inverse_many(cur)
+                back[t] = cur
+            pieces.append((slice(0, self.n_back), back))
 
-    def point_at(self, t):
-        return self.pts_fwd[t] if t >= 0 else self.pts_bwd[-t]
-
-    def jac_at(self, t):
-        if t >= 0:
-            if t >= self.n_fwd:
-                raise ValueError(f"time {t} beyond forward horizon {self.n_fwd}")
-            return self.jac_fwd[t]
-        if -t > self.n_back:
-            raise ValueError(f"time {t} beyond backward horizon {self.n_back}")
-        return self.jac_bwd[-t]
-
-    def inv_at(self, t):
-        if t >= 0:
-            if t >= self.n_fwd:
-                raise ValueError(f"time {t} beyond forward horizon {self.n_fwd}")
-            if self._inv_fwd is None:
-                self._inv_fwd = _inverted(self.jac_fwd)
-            return self._inv_fwd[t]
-        if -t > self.n_back:
-            raise ValueError(f"time {t} beyond backward horizon {self.n_back}")
-        if self._inv_bwd is None:
-            self._inv_bwd = _inverted(self.jac_bwd)
-        return self._inv_bwd[-t]
-
-    def _stacked(self, times, inverse):
-        """Derivatives (or their inverses) at many signed times: (len, batch, d, d)."""
-        times = np.asarray(times, dtype=int)
-        if times.size and (times.max() >= self.n_fwd or times.min() < -self.n_back):
-            raise ValueError("time outside the computed horizon")
-        if inverse:
-            if self._inv_fwd is None:
-                self._inv_fwd = _inverted(self.jac_fwd)
-            fwd = self._inv_fwd
-            if np.any(times < 0) and self._inv_bwd is None:
-                self._inv_bwd = _inverted(self.jac_bwd)
-            bwd = self._inv_bwd
-        else:
-            fwd, bwd = self.jac_fwd, self.jac_bwd
-        d = self.system.dim
-        out = np.empty((len(times), self.batch, d, d))
-        pos = times >= 0
-        if pos.any():
-            out[pos] = fwd[times[pos]]
-        if (~pos).any():
-            out[~pos] = bwd[-times[~pos]]
-        return out
+        self._r = {}
+        bundles = {}
+        for name, basis in (("e", splitting.e_basis), ("f", splitting.f_basis)):
+            b = orthonormalize(basis)
+            c = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
+            bundles[name] = b, c
+            self._r[name] = np.empty((self.n_back + self.n_fwd, self.batch)
+                                     + (b.shape[1],) * 2)
+        defect = scale = 0.0
+        for rows, at in pieces:
+            if not len(at):
+                continue
+            jac = system.jacobian_many(at)
+            scale = max(scale, float(jac.max()), -float(jac.min()))
+            for name, (b, c) in bundles.items():
+                image = jac @ b
+                self._r[name][rows] = b.T @ image
+                defect = max(defect, float(np.abs(c.T @ image).max(initial=0.0)))
+        if defect > _INVARIANCE_TOL * scale:
+            raise DegenerateSplittingError(
+                f"splitting is not Df-invariant along the orbit: defect "
+                f"{defect:.3e} against largest Jacobian entry {scale:.3e}")
 
     def block_logs(self, bundle, starts, K):
-        """Restricted log norms over windows [t, t+K] at each start time t.
+        """Restricted log norms over windows [t, t+K) at each start time t.
 
-        Bundle 'e' gives log ||Df^K|E|| (via backward inverse products),
-        bundle 'f' gives log m(Df^K|F) (forward).  Shape (len(starts), batch).
+        Bundle 'e' gives log ||Df^K|E||, bundle 'f' gives log m(Df^K|F), from
+        the product R(t+K-1)...R(t).  Shape (len(starts), batch).
         """
         if bundle not in ("e", "f"):
             raise ValueError(f"bundle must be 'e' or 'f', got {bundle!r}")
         starts = np.asarray(list(starts), dtype=int)
         if starts.size == 0 or K == 0:
             return np.zeros((len(starts), self.batch))
-        if bundle == "f":
-            m = np.broadcast_to(self.f0, (len(starts), self.batch) + self.f0.shape).copy()
-            for s in range(K):
-                m = self._stacked(starts + s, inverse=False) @ m
-            return np.log(_min_sv(m))
-        m = np.broadcast_to(self.e0, (len(starts), self.batch) + self.e0.shape).copy()
-        for s in reversed(range(K)):
-            m = self._stacked(starts + s, inverse=True) @ m
-        return -np.log(_min_sv(m))
+        if starts.min() < -self.n_back or starts.max() + K > self.n_fwd:
+            raise ValueError("time outside the computed horizon")
+        r = self._r[bundle]
+        idx = starts + self.n_back
+        m = r[idx]
+        for s in range(1, K):
+            m = r[idx + s] @ m
+        return np.log(_sv(m, top=bundle == "e"))
+
+    def full_e_logs(self, n_max):
+        """(n_max+1, batch) array of log ||Df^n|E(x)|| for n = 0..n_max."""
+        return self._full_logs("e", n_max)
 
     def full_f_logs(self, n_max):
         """(n_max+1, batch) array of log m(Df^n|F(x)) for n = 0..n_max."""
-        m = np.broadcast_to(self.f0, (self.batch,) + self.f0.shape).copy()
-        scale = np.zeros(self.batch)
-        out = np.empty((n_max + 1, self.batch))
-        out[0] = 0.0
+        return self._full_logs("f", n_max)
+
+    def _full_logs(self, bundle, n_max):
+        """Log norms of R(n-1)...R(0) from one running product, rescaled to
+        max-abs 1 at each step.  The largest singular value of a rescaled
+        product is at least 1; a smallest one below the least normal float
+        has lost its bits, and the caller must shorten the horizon.
+        """
+        if not 0 <= n_max <= self.n_fwd:
+            raise ValueError(f"n_max must lie in [0, {self.n_fwd}], got {n_max}")
+        r = self._r[bundle][self.n_back:]
+        dim = r.shape[-1]
+        mats = np.empty((n_max + 1, self.batch, dim, dim))
+        mats[0] = np.eye(dim)
+        mags = np.empty((n_max, self.batch))
         for n in range(n_max):
-            m = self.jac_fwd[n] @ m
+            m = r[n] @ mats[n]
             mag = np.abs(m).max(axis=(-2, -1))
             if np.any(mag == 0.0):
                 raise SingularRestrictionError("restricted product vanished")
-            m /= mag[:, None, None]
-            scale += np.log(mag)
-            out[n + 1] = scale + np.log(_min_sv_pos(m, n + 1))
-        return out
-
-    def full_e_logs(self, ns):
-        """log ||Df^n|E(x)|| for each n in ``ns``; shape (len(ns), batch).
-
-        Each value comes from one backward inverse product anchored at f^n(x);
-        anchors advance together, the next joining when the sweep reaches it.
-        """
-        ns = [int(n) for n in ns]
-        if any(n < 0 or n > self.n_fwd for n in ns):
-            raise ValueError(f"head lengths must lie in [0, {self.n_fwd}]")
-        out = np.zeros((len(ns), self.batch))
-        order = sorted(range(len(ns)), key=lambda i: -ns[i])
-        live = []          # indices into ns, in activation order
-        mats = None        # (len(live), batch, d, de)
-        scales = None
-        nxt = 0
-        base = np.broadcast_to(self.e0, (self.batch,) + self.e0.shape)
-        for t in range(max(ns, default=0) - 1, -1, -1):
-            while nxt < len(order) and ns[order[nxt]] == t + 1:
-                live.append(order[nxt])
-                add = base[None].copy()
-                mats = add if mats is None else np.concatenate([mats, add])
-                zero = np.zeros((1, self.batch))
-                scales = zero if scales is None else np.concatenate([scales, zero])
-                nxt += 1
-            mats = self.inv_at(t) @ mats
-            mag = np.abs(mats).max(axis=(-2, -1))
-            mats /= mag[..., None, None]
-            scales += np.log(mag)
-        if mats is not None:
-            vals = -(scales + np.log(_min_sv_pos(mats, max(ns))))
-            for row, i in enumerate(live):
-                out[i] = vals[row]
-        return out
+            np.divide(m, mag[:, None, None], out=mats[n + 1])
+            mags[n] = mag
+        sv = _sv(mats, top=bundle == "e")
+        if np.any(sv < np.finfo(float).tiny):
+            raise SingularRestrictionError(
+                f"restricted product over {n_max} steps underflows the float "
+                "range; use a shorter horizon")
+        scale = np.zeros((n_max + 1, self.batch))
+        np.cumsum(np.log(mags), axis=0, out=scale[1:])
+        return scale + np.log(sv)
 
 
 def log_norm_blocks(system, x, splitting, bundle, K, l, r, direction="fwd"):
@@ -335,7 +272,7 @@ def mean_exponents_many(system, xs, splitting, K, horizon):
     starts = [j * K for j in range(horizon)]
     block_e = data.block_logs("e", starts, K)
     block_f = data.block_logs("f", starts, K)
-    full_e = data.full_e_logs([horizon * K])[0]
+    full_e = data.full_e_logs(horizon * K)[-1]
     full_f = data.full_f_logs(horizon * K)[-1]
     ratio = (block_e - block_f) / K
     steps = horizon * K

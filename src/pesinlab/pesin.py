@@ -106,7 +106,7 @@ class _BlockTables:
         self.batch = data.batch
         block_e = data.block_logs("e", range(L * K + 1), K)   # start times 0..LK
         block_f = data.block_logs("f", range(L * K + 1), K)
-        full_e = data.full_e_logs(range(span))                # lengths 0..LK+K-1
+        full_e = data.full_e_logs(span - 1)                   # lengths 0..LK+K-1
         full_f = data.full_f_logs(span - 1)
 
         B = self.batch

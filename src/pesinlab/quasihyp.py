@@ -181,8 +181,10 @@ def check_qh_pseudo_orbit(system, segments, zeta, e, delta, k, K):
 
     Each segment (x_i, n_i, splitting_i) is checked against its canonical
     partition at (k, K); e defaults to (k+1)K, the canonical gap bound, and
-    segments whose partition exceeds e fail.  Returns (ok, report) with the
-    first offending segment or gap index in the report.
+    segments whose partition exceeds e fail.  Returns (ok, report); the
+    report names the first failing segment and the first seam (gap between
+    segment i's end and segment i+1's start) at least delta, each None when
+    none fails.
     """
     if not segments:
         raise ValueError("need at least one segment")
@@ -202,9 +204,9 @@ def check_qh_pseudo_orbit(system, segments, zeta, e, delta, k, K):
         gap_sizes.append(float(dyn.torus_distance(end, np.asarray(x_next, dtype=float))))
     gap_ok = [g < delta for g in gap_sizes]
 
-    failures = [i for i, ok in enumerate(seg_pass) if not ok]
-    failures += [i for i, ok in enumerate(gap_ok) if not ok]
-    ok = not failures
+    failed_segment = next((i for i, ok in enumerate(seg_pass) if not ok), None)
+    failed_seam = next((i for i, ok in enumerate(gap_ok) if not ok), None)
+    ok = failed_segment is None and failed_seam is None
     report = {
         "passed": ok,
         "zeta": zeta,
@@ -212,7 +214,8 @@ def check_qh_pseudo_orbit(system, segments, zeta, e, delta, k, K):
         "delta": delta,
         "segment_pass": seg_pass,
         "gaps": gap_sizes,
-        "first_failure": None if ok else min(failures),
+        "first_failed_segment": failed_segment,
+        "first_failed_seam": failed_seam,
         "certificates": [c.to_dict() for c in certs],
     }
     return ok, report

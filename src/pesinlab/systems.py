@@ -43,7 +43,6 @@ __all__ = [
     "step",
     "inverse_step",
     "iterate",
-    "iterate_back",
     "orbit_points",
     "derivative",
     "reference_splitting",
@@ -539,6 +538,3 @@ def iterate(system, p, n):
     """OrbitSegment for the forward orbit of p (n >= 1 steps)."""
     return OrbitSegment(as_point(p, system.dim), n, orbit_points(system, p, n))
 
-
-def iterate_back(system, p, n):
-    return orbit_points_back(system, p, n)

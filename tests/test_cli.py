@@ -64,7 +64,8 @@ def test_qh_check_pass_and_fail(tmp_path, capsys, cat, p24):
                "--zeta", "0.5"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True and rep["first_failure"] is None
+    assert rep["passed"] is True
+    assert rep["first_failed_segment"] is None and rep["first_failed_seam"] is None
 
     bad = np.array([0.5, 0.3, 0.6])
     mid = dyn.orbit_points(p24, bad, 12)[-1]
@@ -174,6 +175,20 @@ def test_classify_grid(capsys):
     assert len(recs) == 4
     fibers = [rec["point"][0] for rec in recs]
     assert fibers == [0.125, 0.375, 0.625, 0.875]
+
+
+def test_classify_rejects_non_invariant_splitting(tmp_path, capsys):
+    # cat map with the coordinate splitting, which Df does not preserve
+    cfg = tmp_path / "coords.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+        "inverse": ["(x0 - x1) % 1.0", "(2*x1 - x0) % 1.0"],
+        "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+        "e_basis": [[1.0], [0.0]], "f_basis": [[0.0], [1.0]],
+    }, "point": "0.2,0.7"}))
+    assert main(["classify", "--config", str(cfg)]) == 2
+    assert "not Df-invariant" in capsys.readouterr().err
 
 
 def test_domination_command(capsys):

@@ -54,14 +54,45 @@ def _dense_restricted(system, x, n):
 def test_orbit_data_matches_dense_products(p24, p24_split):
     rng = np.random.default_rng(1)
     xs = rng.random((5, 3))
-    data = OrbitData(p24, xs, p24_split, n_fwd=12)
-    full_e = data.full_e_logs(range(13))
+    data = OrbitData(p24, xs, p24_split, n_fwd=12, n_back=5)
+    full_e = data.full_e_logs(12)
     full_f = data.full_f_logs(12)
+    assert full_e.shape == full_f.shape == (13, 5)
+    back_e = data.block_logs("e", [-5], 3)[0]   # window over times -5, -4, -3
+    back_f = data.block_logs("f", [-5], 3)[0]
     for b, x in enumerate(xs):
         for n in (1, 4, 12):
             ne, nf = _dense_restricted(p24, x, n)
             assert full_e[n, b] == pytest.approx(math.log(ne), abs=1e-10)
             assert full_f[n, b] == pytest.approx(math.log(nf), abs=1e-10)
+        back = dyn.orbit_points_back(p24, x, 5)
+        prod = np.eye(3)
+        for jac in p24.jacobian_many(back[5:2:-1]):
+            prod = jac @ prod
+        assert back_e[b] == pytest.approx(
+            math.log(operator_norm(prod, p24_split.e_basis)), abs=1e-10)
+        assert back_f[b] == pytest.approx(
+            math.log(minimal_norm(prod, p24_split.f_basis)), abs=1e-10)
+
+
+def _cat_composite(e_basis, f_basis):
+    return dyn.make_system({
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+        "inverse": ["(x0 - x1) % 1.0", "(2*x1 - x0) % 1.0"],
+        "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+        "e_basis": e_basis, "f_basis": f_basis,
+    })
+
+
+def test_orbit_data_rejects_non_invariant_splitting(cat_split):
+    good = _cat_composite(cat_split.e_basis.tolist(), cat_split.f_basis.tolist())
+    OrbitData(good, np.array([0.2, 0.7]), good.splitting, n_fwd=5, n_back=5)
+    coords = _cat_composite([[1.0], [0.0]], [[0.0], [1.0]])
+    with pytest.raises(DegenerateSplittingError, match="invariant"):
+        OrbitData(coords, np.array([0.2, 0.7]), coords.splitting, n_fwd=5)
+    with pytest.raises(DegenerateSplittingError, match="invariant"):
+        OrbitData(coords, np.array([0.2, 0.7]), coords.splitting, n_fwd=0, n_back=5)
 
 
 def test_log_norm_blocks_worked_example(p24, p24_split):
@@ -149,11 +180,35 @@ def test_mean_exponents_fiber_half(p24, p24_split):
     assert abs(rep.limdom_hat) < 1e-12
 
 
+def test_mean_exponents_fiber0_long_horizon(p24, p24_split):
+    # the E product's small direction, (lambda_s / (1/2))^n, leaves the float
+    # range long before 20000 steps; the top singular value does not need it
+    rep = mean_exponents(p24, np.array([0.0, 0.3, 0.7]), p24_split,
+                         K=1, horizon=20_000)
+    assert rep.lambda_s_hat == pytest.approx(-LOG2, abs=1e-12)
+
+
 def test_full_products_underflow_guard(p24, p24_split):
-    # mixing +/- LOG_U on E overruns the float range near 370 steps
+    # fiber 1/2 mixes +/- LOG_U on E; the operator norm stays exact
+    rep = mean_exponents(p24, np.array([0.5, 0.3, 0.7]), p24_split,
+                         K=1, horizon=2000)
+    assert rep.lambda_s_hat == pytest.approx(LOG_U, abs=1e-12)
+    # a 2-D F bundle at rates 4 and 1.1: the minimal norm's direction
+    # shrinks by 1.1/4 a step relative to the rescaled product
+    diag = dyn.make_system({
+        "kind": "composite", "dim": 3,
+        "map": ["(0.5*x0) % 1.0", "(4*x1) % 1.0", "(1.1*x2) % 1.0"],
+        "jacobian": [["0.5", "0", "0"], ["0", "4", "0"], ["0", "0", "1.1"]],
+        "e_basis": [[1.0], [0.0], [0.0]],
+        "f_basis": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    })
+    x = np.array([0.1, 0.2, 0.3])
+    rep = mean_exponents(diag, x, diag.splitting, K=1, horizon=500)
+    assert rep.lambda_u_hat == pytest.approx(math.log(1.1), abs=1e-12)
+    # at 560 steps that direction is subnormal but not yet 0
+    assert 0.0 < (1.1 / 4.0) ** 560 < np.finfo(float).tiny
     with pytest.raises(SingularRestrictionError):
-        mean_exponents(p24, np.array([0.5, 0.3, 0.7]), p24_split,
-                       K=1, horizon=2000)
+        mean_exponents(diag, x, diag.splitting, K=1, horizon=560)
 
 
 def test_prop_25_1_constant_cocycle(cat, cat_split):

@@ -112,7 +112,7 @@ def test_pseudo_orbit_exact_split(cat, cat_split):
     assert ok and rep["passed"]
     assert rep["e"] == 9  # defaults to (k+1)K
     assert rep["gaps"] == [0.0]
-    assert rep["first_failure"] is None
+    assert rep["first_failed_segment"] is None and rep["first_failed_seam"] is None
 
 
 def test_pseudo_orbit_gap_detected(cat, cat_split):
@@ -120,7 +120,8 @@ def test_pseudo_orbit_gap_detected(cat, cat_split):
     mid = dyn.orbit_points(cat, x0, 20)[-1]
     segs = [(x0, 20, cat_split), (dyn.wrap(mid + 2e-9), 20, cat_split)]
     ok, rep = check_qh_pseudo_orbit(cat, segs, 0.5, None, 1e-9, k=2, K=3)
-    assert not ok and rep["first_failure"] == 0
+    assert not ok and rep["first_failed_seam"] == 0
+    assert rep["first_failed_segment"] is None
     assert rep["gaps"][0] > 1e-9
     with pytest.raises(ValueError):
         check_qh_pseudo_orbit(cat, [], 0.5, None, 1e-9, k=2, K=3)
@@ -137,7 +138,19 @@ def test_pseudo_orbit_segment_failure_reported(p24, p24_split):
                                     k=2, K=3)
     assert not ok
     assert rep["segment_pass"] == [True, False]
-    assert rep["first_failure"] == 1
+    assert rep["first_failed_segment"] == 1 and rep["first_failed_seam"] is None
+
+
+def test_pseudo_orbit_seam_failure_not_a_segment(cat, cat_split):
+    # both segments pass; only seam 0 (gap 0.2236) exceeds delta
+    segs = [(np.array([0.1, 0.2]), 10, cat_split),
+            (np.array([0.5, 0.5]), 10, cat_split)]
+    ok, rep = check_qh_pseudo_orbit(cat, segs, 0.4, None, 1e-3, k=1, K=1)
+    assert not ok
+    assert rep["segment_pass"] == [True, True]
+    assert rep["gaps"][0] == pytest.approx(0.2236, abs=1e-4)
+    assert rep["first_failed_seam"] == 0
+    assert rep["first_failed_segment"] is None
 
 
 def test_subspace_gap_oracles(cat, cat_split):
