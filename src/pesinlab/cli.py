@@ -23,6 +23,7 @@ from .errors import (
     ConvergenceError,
     GeometryError,
     NotInvertibleError,
+    SingularRestrictionError,
     UnresolvedTransitionError,
 )
 
@@ -400,7 +401,7 @@ def main(argv=None):
         opt = _resolve_options(args)
         text = _COMMANDS[args.cmd](opt)
     except (ConvergenceError, GeometryError, NotInvertibleError,
-            UnresolvedTransitionError) as exc:
+            SingularRestrictionError, UnresolvedTransitionError) as exc:
         print(f"pesinlab {args.cmd}: numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -54,7 +54,7 @@ def orthonormalize(basis):
         raise DimensionMismatchError(f"basis of shape {b.shape} has too many columns")
     q, r = np.linalg.qr(b)
     if np.any(np.abs(np.diag(r)) < 1e-12 * max(1.0, float(np.abs(b).max()))):
-        raise SingularRestrictionError("basis is numerically rank deficient")
+        raise DegenerateSplittingError("basis is numerically rank deficient")
     return q
 
 

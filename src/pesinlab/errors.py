@@ -17,12 +17,13 @@ class NotInvertibleError(PesinLabError, RuntimeError):
     """Backward iteration requested on a system with no inverse."""
 
 
-class SingularRestrictionError(PesinLabError, ValueError):
-    """A basis is rank deficient, so the restricted norm is undefined."""
+class SingularRestrictionError(PesinLabError, RuntimeError):
+    """A restricted product vanished or underflowed, so its norm is undefined."""
 
 
 class DegenerateSplittingError(PesinLabError, ValueError):
-    """Two sub-bundles intersect (angle 0), so the splitting is invalid."""
+    """The splitting is invalid: a basis is rank deficient, two sub-bundles
+    intersect (angle 0), or Df does not keep a bundle invariant."""
 
 
 class GeometryError(PesinLabError, RuntimeError):

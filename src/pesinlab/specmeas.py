@@ -11,7 +11,7 @@ the weak-* sense via trigonometric test functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,48 @@ __all__ = [
 ]
 
 
+# Cap on the cells of a cover's grid index; coarser cells stay correct and
+# only add candidates, while the CSR offsets stay small in any dimension.
+_MAX_CELLS = 1 << 20
+
+
+class _Grid:
+    """Uniform grid index of torus points, cells strictly wider than ``radius``.
+
+    A point within ``radius`` of another lies in one of the 3^d cells around
+    the other's cell (mod n), so those cells hold every candidate.  Items are
+    stored sorted by cell (ascending index within a cell) with CSR offsets.
+    """
+
+    def __init__(self, points, radius):
+        d = points.shape[1]
+        n = int(1.0 / (radius * (1.0 + 1e-9)))
+        self.n = max(1, min(n, int(_MAX_CELLS ** (1.0 / d) + 1e-9)))
+        self.strides = self.n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        steps = np.unique(np.array([-1, 0, 1]) % self.n)
+        self.offsets = np.array(list(itertools.product(steps, repeat=d)))
+        keys = self.cells(points) @ self.strides
+        self.order = np.argsort(keys, kind="stable")
+        self.start = np.searchsorted(keys[self.order],
+                                     np.arange(self.n ** d + 1))
+
+    def cells(self, points):
+        """Cell coordinates of wrapped points (x < 1 keeps x * n below n)."""
+        return np.floor(dyn.wrap(points) * self.n).astype(np.int64)
+
+    def candidates(self, points):
+        """(query index, item index) for every item near each query's cell."""
+        near = (self.cells(points)[:, None, :] + self.offsets) % self.n
+        keys = (near @ self.strides).ravel()
+        lo = self.start[keys]
+        cnt = self.start[keys + 1] - lo
+        total = int(cnt.sum())
+        first = np.cumsum(cnt) - cnt
+        pos = np.arange(total) - np.repeat(first - lo, cnt)
+        query = np.repeat(np.arange(len(points)), cnt.reshape(len(points), -1).sum(1))
+        return query, self.order[pos]
+
+
 @dataclass(frozen=True)
 class Cover:
     """Finite family of open balls with diameters below the mesh."""
@@ -43,6 +85,7 @@ class Cover:
     centers: np.ndarray
     radii: np.ndarray
     mesh: float
+    _grid: _Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -55,6 +98,7 @@ class Cover:
             raise ValueError(f"mesh must be positive, got {self.mesh}")
         if np.any(radii <= 0.0) or np.any(radii > self.mesh / 2.0):
             raise ValueError("radii must lie in (0, mesh/2]")
+        object.__setattr__(self, "_grid", _Grid(centers, float(radii.max())))
 
     @property
     def size(self):
@@ -63,27 +107,21 @@ class Cover:
     def locate(self, points):
         """Index of the first ball strictly containing each point, else -1."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        t, b = self.members(pts)
         out = np.full(len(pts), -1, dtype=np.int64)
-        for lo in range(0, len(pts), 4096):
-            chunk = pts[lo:lo + 4096]
-            diff = dyn.torus_diff(chunk[:, None, :], self.centers[None, :, :])
-            inside = np.linalg.norm(diff, axis=-1) < self.radii
-            hit = inside.any(axis=1)
-            out[lo:lo + 4096][hit] = np.argmax(inside[hit], axis=1)
+        first = np.ones(len(t), dtype=bool)
+        first[1:] = t[1:] != t[:-1]
+        out[t[first]] = b[first]
         return out
 
     def members(self, points):
         """All (point index, ball index) membership pairs, point-major order."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        t_all, b_all = [], []
-        for lo in range(0, len(pts), 4096):
-            chunk = pts[lo:lo + 4096]
-            diff = dyn.torus_diff(chunk[:, None, :], self.centers[None, :, :])
-            inside = np.linalg.norm(diff, axis=-1) < self.radii
-            tt, bb = np.nonzero(inside)
-            t_all.append(tt + lo)
-            b_all.append(bb)
-        return np.concatenate(t_all), np.concatenate(b_all)
+        t, b = self._grid.candidates(pts)
+        diff = dyn.torus_diff(pts[t], self.centers[b])
+        inside = np.linalg.norm(diff, axis=-1) < self.radii[b]
+        key = np.sort(t[inside] * self.size + b[inside])
+        return key // self.size, key % self.size
 
 
 def build_cover(samples, delta):
@@ -94,14 +132,16 @@ def build_cover(samples, delta):
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     radius = delta / 2.0
+    grid = _Grid(pts, radius)
     centers = []
     uncovered = np.ones(len(pts), dtype=bool)
     while uncovered.any():
         c = pts[int(np.argmax(uncovered))]
         centers.append(c)
-        dist = np.linalg.norm(dyn.torus_diff(pts[uncovered], c), axis=-1)
-        idx = np.flatnonzero(uncovered)
-        uncovered[idx[dist < radius]] = False
+        _, near = grid.candidates(c[None, :])
+        near = near[uncovered[near]]
+        dist = np.linalg.norm(dyn.torus_diff(pts[near], c), axis=-1)
+        uncovered[near[dist < radius]] = False
     centers = np.array(centers)
     return Cover(centers=centers, radii=np.full(len(centers), radius), mesh=float(delta))
 
@@ -145,6 +185,8 @@ def transition_times(system, cover, min_n, horizon, budget, seed=0):
     Orbits are seeded independently from (seed, orbit index); the merge
     keeps the smallest transit per pair, breaking ties in favor of earlier
     orbits and earlier witness times, so growing the budget only refines.
+    Each orbit is one reverse-time sweep, O(horizon * m) time for m balls
+    and O(m^2) memory.
     """
     if min_n < 1 or horizon < min_n:
         raise ValueError(f"need 1 <= min_n <= horizon, got {min_n}, {horizon}")
@@ -152,37 +194,38 @@ def transition_times(system, cover, min_n, horizon, budget, seed=0):
         raise ValueError(f"need budget >= 1, got {budget}")
     m = cover.size
     d = cover.centers.shape[1]
-    X = np.full((m, m), -1, dtype=np.int64)
+    unseen = horizon + 1
+    X = np.full((m, m), unseen, dtype=np.int64)
     witnesses = np.full((m, m, d), np.nan)
-    sentinel = horizon + 1
 
     for orbit_idx in range(budget):
         rng = np.random.default_rng([seed, orbit_idx])
         orbit = dyn.orbit_points(system, rng.random(system.dim), horizon)
         t_mem, b_mem = cover.members(orbit)
-        early = t_mem + min_n <= horizon
-        t_src, j_src = t_mem[early], b_mem[early]
-        if t_src.size == 0:
-            continue
-        for i in np.unique(b_mem):
-            nxt = np.full(horizon + 2, sentinel, dtype=np.int64)
-            hits = t_mem[b_mem == i]
-            nxt[hits] = hits
-            nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-            arrive = nxt[t_src + min_n]
-            good = arrive <= horizon
-            if not good.any():
+        at = np.searchsorted(t_mem, np.arange(horizon + 2)).tolist()
+        balls = b_mem.tolist()
+        # Reverse-time sweep: nxt[i] is the first time >= t + min_n in ball
+        # i; best[j, i] the least transit from ball j to ball i, wit_t its
+        # earliest start.  The sentinel keeps nxt - t above the horizon.
+        nxt = np.full(m, 2 * horizon + 2, dtype=np.int64)
+        best = np.full((m, m), unseen, dtype=np.int64)
+        wit_t = np.zeros((m, m), dtype=np.int64)
+        for t in range(horizon - min_n, -1, -1):
+            s = t + min_n
+            if at[s] < at[s + 1]:
+                nxt[balls[at[s]:at[s + 1]]] = s
+            if at[t] == at[t + 1]:
                 continue
-            cand = arrive[good] - t_src[good]
-            src_t = t_src[good]
-            src_lab = j_src[good]
-            order = np.lexsort((src_t, cand, src_lab))
-            _, first = np.unique(src_lab[order], return_index=True)
-            for pos in order[first]:
-                j, n_best, t_wit = int(src_lab[pos]), int(cand[pos]), int(src_t[pos])
-                if X[i, j] < 0 or n_best < X[i, j]:
-                    X[i, j] = n_best
-                    witnesses[i, j] = orbit[t_wit]
+            cand = nxt - t
+            for j in balls[at[t]:at[t + 1]]:
+                row = best[j]
+                hit = cand <= row
+                np.copyto(row, cand, where=hit)
+                np.copyto(wit_t[j], t, where=hit)
+        better = best.T < X
+        X[better] = best.T[better]
+        witnesses[better] = orbit[wit_t.T[better]]
+    X[X == unseen] = -1
     return TransitionTable(X=X, witnesses=witnesses, min_n=int(min_n),
                            horizon=int(horizon), budget=int(budget), seed=int(seed))
 

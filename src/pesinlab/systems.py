@@ -15,7 +15,9 @@ Jacobians, as read from CLI config files.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +280,71 @@ class Product24(TorusMap):
         return jac
 
 
+_FORMULA_FUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
+    "sqrt": np.sqrt, "abs": np.abs, "mod": np.mod, "floor": np.floor,
+    "where": np.where,
+}
+_FORMULA_CONSTS = {"pi": np.float64(np.pi)}
+_FORMULA_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+    ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne,
+}
+
+
+def _compile_formula(text, dim):
+    """Compile one config formula into a function of the coordinate list.
+
+    Only numeric constants, ``pi``, the coordinates x0..x{dim-1}, arithmetic,
+    unary and single comparison operators and calls of ``_FORMULA_FUNCS`` are
+    accepted; anything else (attributes, subscripts, lambdas, other names)
+    raises ValueError, so a config file cannot reach arbitrary code.
+    """
+    coords = {f"x{i}": i for i in range(dim)}
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            value = np.float64(node.value)
+            return lambda xs: value
+        if isinstance(node, ast.Name) and node.id in coords:
+            i = coords[node.id]
+            return lambda xs: xs[i]
+        if isinstance(node, ast.Name) and node.id in _FORMULA_CONSTS:
+            value = _FORMULA_CONSTS[node.id]
+            return lambda xs: value
+        if isinstance(node, ast.BinOp) and type(node.op) in _FORMULA_OPS:
+            op, left, right = _FORMULA_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda xs: op(left(xs), right(xs))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _FORMULA_OPS:
+            op, arg = _FORMULA_OPS[type(node.op)], build(node.operand)
+            return lambda xs: op(arg(xs))
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _FORMULA_OPS):
+            op = _FORMULA_OPS[type(node.ops[0])]
+            left, right = build(node.left), build(node.comparators[0])
+            return lambda xs: op(left(xs), right(xs))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FORMULA_FUNCS and not node.keywords
+                and not any(isinstance(a, ast.Starred) for a in node.args)):
+            fn, args = _FORMULA_FUNCS[node.func.id], [build(a) for a in node.args]
+            return lambda xs: fn(*(a(xs) for a in args))
+        what = (node.id if isinstance(node, ast.Name)
+                else f"call of {ast.unparse(node.func)}" if isinstance(node, ast.Call)
+                else type(node).__name__)
+        raise ValueError(f"formula {text!r}: {what} is not allowed")
+
+    try:
+        return build(ast.parse(str(text).strip(), mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"formula {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ValueError(f"formula {str(text)[:40]!r}...: nested too deeply") from None
+
+
 class CompositeMap(TorusMap):
     """User-defined map given by per-coordinate callables.
 
@@ -314,12 +381,6 @@ class CompositeMap(TorusMap):
         want = pts.shape[:-1] + (self.dim, self.dim)
         return np.broadcast_to(jac, want).copy() if jac.shape != want else jac
 
-    _EVAL_NAMES = {
-        "np": np, "pi": np.pi, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-        "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-        "mod": np.mod, "floor": np.floor, "where": np.where,
-    }
-
     @classmethod
     def from_expressions(cls, dim, map_exprs, jac_exprs, inverse_exprs=None,
                          e_basis=None, f_basis=None, name=None):
@@ -331,35 +392,23 @@ class CompositeMap(TorusMap):
             raise DimensionMismatchError("jacobian formulas must form a d x d grid")
 
         def compile_all(exprs):
-            return [compile(e, "<system-config>", "eval") for e in exprs]
+            return [_compile_formula(e, dim) for e in exprs]
 
         map_code = compile_all(map_exprs)
         jac_code = [compile_all(row) for row in jac_exprs]
         inv_code = compile_all(inverse_exprs) if inverse_exprs else None
 
-        def env(pts):
-            ns = dict(cls._EVAL_NAMES)
-            for i in range(dim):
-                ns[f"x{i}"] = pts[..., i]
-            ns["__builtins__"] = {}
-            return ns
-
         def run(code_list, pts):
-            ns = env(pts)
-            cols = [np.broadcast_to(np.asarray(eval(c, ns), dtype=float),
-                                    pts.shape[:-1]) for c in code_list]
-            return np.stack(cols, axis=-1)
+            xs = [pts[..., i] for i in range(dim)]
+            return np.stack([np.broadcast_to(np.asarray(f(xs), dtype=float),
+                                             pts.shape[:-1]) for f in code_list],
+                            axis=-1)
 
         forward = lambda pts: run(map_code, pts)
         inverse = (lambda pts: run(inv_code, pts)) if inv_code else None
 
         def jacobian_fn(pts):
-            ns = env(pts)
-            rows = []
-            for row in jac_code:
-                rows.append([np.broadcast_to(np.asarray(eval(c, ns), dtype=float),
-                                             pts.shape[:-1]) for c in row])
-            return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+            return np.stack([run(row, pts) for row in jac_code], axis=-2)
 
         splitting = None
         if e_basis is not None and f_basis is not None:

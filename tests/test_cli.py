@@ -191,6 +191,36 @@ def test_classify_rejects_non_invariant_splitting(tmp_path, capsys):
     assert "not Df-invariant" in capsys.readouterr().err
 
 
+def test_underflowing_restricted_product_exits_1(tmp_path, capsys):
+    # F is a 2-D bundle at rates 4 and 1.1: after 560 steps the rescaled
+    # minimal direction is subnormal, a numerical failure, not bad input
+    cfg = tmp_path / "diag.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 3,
+        "map": ["(0.5*x0) % 1.0", "(4*x1) % 1.0", "(1.1*x2) % 1.0"],
+        "jacobian": [["0.5", "0", "0"], ["0", "4", "0"], ["0", "0", "1.1"]],
+        "e_basis": [[1.0], [0.0], [0.0]],
+        "f_basis": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    }, "point": "0.1,0.2,0.3"}))
+    assert main(["domination", "--config", str(cfg), "--horizon", "500"]) == 0
+    capsys.readouterr()
+    assert main(["domination", "--config", str(cfg), "--horizon", "560"]) == 1
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_composite_formula_injection_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "evil.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 2,
+        "map": ["np.save('owned.npy', x0)", "x1"],
+        "jacobian": [["1", "0"], ["0", "1"]],
+    }, "point": "0.2,0.7"}))
+    assert main(["exponents", "--config", str(cfg)]) == 2
+    assert "not allowed" in capsys.readouterr().err
+    assert not (tmp_path / "owned.npy").exists()
+
+
 def test_domination_command(capsys):
     rc = main(["domination", "--system", "cat", "--horizon", "200"])
     assert rc == 0

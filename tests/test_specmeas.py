@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.errors import DimensionMismatchError, UnresolvedTransitionError
@@ -62,6 +64,113 @@ def test_cover_covers_its_samples_and_locate():
     assert lonely.locate([[0.5, 0.5]])[0] == -1
 
 
+def _dense_members(centers, radii, pts):
+    diff = dyn.torus_diff(pts[:, None, :], centers[None, :, :])
+    return np.nonzero(np.linalg.norm(diff, axis=-1) < radii)
+
+
+def _dense_cover_centers(samples, delta):
+    pts = dyn.wrap(samples)
+    centers = []
+    uncovered = np.ones(len(pts), dtype=bool)
+    while uncovered.any():
+        c = pts[int(np.argmax(uncovered))]
+        centers.append(c)
+        idx = np.flatnonzero(uncovered)
+        near = np.linalg.norm(dyn.torus_diff(pts[idx], c), axis=-1) < delta / 2.0
+        uncovered[idx[near]] = False
+    return np.array(centers)
+
+
+_coord = st.one_of(st.floats(-0.3, 1.3, allow_nan=False),
+                   st.sampled_from([0.0, 1.0, -0.2, 0.5, float(np.nextafter(1.0, 0.0))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cover_grid_matches_dense_scan(data):
+    d = data.draw(st.integers(1, 3))
+    mesh = data.draw(st.one_of(st.floats(0.04, 1.5), st.sampled_from([2 / 3, 0.7, 1.2])))
+    m = data.draw(st.integers(1, 25))
+    centers = np.array(data.draw(st.lists(st.lists(_coord, min_size=d, max_size=d),
+                                          min_size=m, max_size=m)))
+    fracs = data.draw(st.lists(st.one_of(st.floats(0.05, 1.0), st.just(1.0)),
+                               min_size=m, max_size=m))
+    radii = np.array(fracs) * mesh / 2.0
+    cover = Cover(centers=centers, radii=radii, mesh=mesh)
+
+    # cell edges k/n of the index, ball boundaries, then arbitrary points
+    n = max(1, int(1.0 / (radii.max() * (1.0 + 1e-9))))
+    edges = np.arange(n + 1) / n
+    special = [np.resize(np.roll(edges, a), d) for a in range(n + 1)]
+    special += [centers[i] + radii[i] * np.eye(d)[0] for i in range(m)]
+    special += [np.full(d, np.nextafter(1.0, 0.0))]
+    pts = np.vstack(special + data.draw(st.lists(
+        st.lists(_coord, min_size=d, max_size=d), max_size=40)))
+
+    t, b = cover.members(pts)
+    t_ref, b_ref = _dense_members(cover.centers, cover.radii, pts)
+    assert np.array_equal(t, t_ref) and np.array_equal(b, b_ref)
+    first = np.full(len(pts), -1)
+    for tt, bb in zip(t_ref[::-1], b_ref[::-1]):
+        first[tt] = bb
+    assert np.array_equal(cover.locate(pts), first)
+
+    built = build_cover(pts, mesh)
+    assert np.array_equal(built.centers, _dense_cover_centers(pts, mesh))
+
+
+def test_cover_grid_radius_just_above_a_cell_width():
+    # 1/r lies just below 5, so the index needs 4 cells per axis: with 5,
+    # the point at 0.4 would sit two cells from the center yet inside r
+    r = 0.2 * (1.0 + 5e-10)
+    cover = Cover(centers=[[0.19999999999]], radii=[r], mesh=2.0 * r)
+    pts = np.array([[0.4], [0.0], [0.6]])
+    assert np.array_equal(cover.locate(pts), [0, 0, -1])
+    assert build_cover(pts[::-1], 2.0 * r).size == 2
+
+
+def _brute_transits(system, cover, min_n, horizon, budget, seed):
+    """Least transit per ball pair by scanning every start time of every orbit."""
+    m, d = cover.size, cover.centers.shape[1]
+    X = np.full((m, m), -1)
+    W = np.full((m, m, d), np.nan)
+    for k in range(budget):
+        x = np.random.default_rng([seed, k]).random(system.dim)
+        orbit = dyn.orbit_points(system, x, horizon)
+        inside = np.zeros((horizon + 1, m), dtype=bool)
+        inside[_dense_members(cover.centers, cover.radii, orbit)] = True
+        for i in range(m):
+            for j in range(m):
+                for t in range(horizon - min_n + 1):
+                    if not inside[t, j]:
+                        continue
+                    hits = np.flatnonzero(inside[t + min_n:, i])
+                    if hits.size and (X[i, j] < 0 or hits[0] + min_n < X[i, j]):
+                        X[i, j] = hits[0] + min_n
+                        W[i, j] = orbit[t]
+    return X, W
+
+
+def test_transition_sweep_matches_brute_force(cat):
+    # a dyadic rotation is exact in floats, so equal transits recur at many
+    # start times and in every orbit: the earliest orbit and start must win
+    rot = dyn.make_system({"kind": "composite", "dim": 1,
+                           "map": ["(x0 + 0.125) % 1.0"], "jacobian": [["1.0"]]})
+    cases = [
+        (rot, Cover(centers=[[0.05], [0.3], [0.55], [0.61], [1.0]],
+                    radii=[0.06, 0.08, 0.04, 0.05, 0.02], mesh=0.2), 3, 60, 3, 4),
+        (cat, build_cover(np.random.default_rng(8).random((60, 2)), 0.3), 3, 120, 3, 11),
+        (cat, build_cover([[0.0, 0.0], [0.5, 0.5]], 0.2), 2, 200, 3, 1),
+    ]
+    for system, cover, min_n, horizon, budget, seed in cases:
+        table = transition_times(system, cover, min_n, horizon, budget, seed=seed)
+        X, W = _brute_transits(system, cover, min_n, horizon, budget, seed)
+        assert np.array_equal(table.X, X)
+        assert np.array_equal(table.witnesses, W, equal_nan=True)
+        assert (X >= 0).any()
+
+
 def test_fixed_point_self_transit(cat):
     cov = build_cover([[0.0, 0.0]], 0.2)
     table = transition_times(cat, cov, 2, 10000, 3, seed=1)
@@ -79,7 +188,7 @@ def test_transition_table_resolved_and_refinement(cat):
     # budget growth only refines; this configuration is already saturated
     t4 = transition_times(cat, cov, 4, 10000, 4, seed=7)
     assert np.array_equal(t2.X, t4.X)
-    assert np.allclose(t2.witnesses, t4.witnesses, equal_nan=True)
+    assert np.array_equal(t2.witnesses, t4.witnesses, equal_nan=True)
 
 
 def test_transition_times_validation(cat):

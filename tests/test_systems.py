@@ -144,6 +144,52 @@ def test_make_system_composite_dict():
     assert dyn.inverse_step(rot, np.array([0.15]))[0] == pytest.approx(0.9)
 
 
+def test_composite_formulas_match_numpy():
+    xs = np.random.default_rng(2).random((200, 2))
+    m = dyn.make_system({
+        "kind": "composite", "dim": 2,
+        "map": ["where(x0 < 0.5, 2*x0, 2 - 2*x0) + sin(2*pi*x1)/8",
+                "mod(-x1**2 + abs(x0 - x1) // 0.25, 1.0)"],
+        "jacobian": [["sqrt(x0) + exp(-x1) + log(1 + x0)", "cos(x1) * tan(x0)"],
+                     ["floor(x0*4) + (x0 >= x1)", "1/3"]],
+    })
+    x0, x1 = xs[:, 0], xs[:, 1]
+    want = np.column_stack([np.where(x0 < 0.5, 2 * x0, 2 - 2 * x0)
+                            + np.sin(2 * np.pi * x1) / 8,
+                            np.mod(-x1 ** 2 + np.abs(x0 - x1) // 0.25, 1.0)])
+    assert np.array_equal(m.step_many(xs), dyn.wrap(want))
+    jac = m.jacobian_many(xs)
+    assert np.array_equal(jac[:, 0, 0], np.sqrt(x0) + np.exp(-x1) + np.log(1 + x0))
+    assert np.array_equal(jac[:, 1, 0], np.floor(x0 * 4) + (x0 >= x1))
+    assert np.all(jac[:, 1, 1] == 1 / 3)
+
+
+@pytest.mark.parametrize("formula", [
+    "np.save('owned.npy', x0)",
+    "().__class__.__bases__",
+    "(lambda: 0)()",
+    "x0.real",
+    "x0[0]",
+    "[x0 for _ in range(2)]",
+    "__import__('os')",
+    "open('owned.txt', 'w')",
+    "np",
+    "sin",
+    "sin(x=x0)",
+    "'text'",
+    "x0 < x1 < 1",
+    "x2",
+    "x0 +",
+    pytest.param("+".join(["x0"] * 3000), id="x0+...+x0"),
+])
+def test_composite_formula_whitelist(formula, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError):
+        dyn.make_system({"kind": "composite", "dim": 2, "map": [formula, "x1"],
+                         "jacobian": [["1", "0"], ["0", "1"]]})
+    assert not any(tmp_path.iterdir())
+
+
 def test_splitting_validation():
     with pytest.raises(DegenerateSplittingError):
         dyn.Splitting(np.array([[1.0], [0.0]]), np.array([[2.0], [0.0]]))
