@@ -36,7 +36,6 @@ from .systems import (  # noqa: E402
     CatMap,
     CircleG,
     CompositeMap,
-    OrbitSegment,
     Product24,
     Splitting,
     TorusMap,
@@ -136,7 +135,6 @@ __all__ = [
     "MeanExponentReport",
     "NotInvertibleError",
     "OrbitData",
-    "OrbitSegment",
     "PartitionScheme",
     "PesinLabError",
     "PesinParams",

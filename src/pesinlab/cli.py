@@ -236,18 +236,6 @@ def cmd_close(opt):
     return dumps(result.to_dict()) + "\n"
 
 
-def _segment_deviations(plan, result):
-    """Worst distance between the solved cycle and each glued-in segment."""
-    z = result.points
-    offsets = np.concatenate([[0], np.cumsum(plan.pseudo.n_list)])
-    devs = []
-    for j in range(0, plan.pseudo.m, 2):
-        seg = plan.pseudo.segments[j]
-        idx = (offsets[j] + np.arange(seg.shape[0])) % result.period
-        devs.append(float(np.max(dyn.torus_distance(z[idx], seg))))
-    return devs
-
-
 def cmd_glue(opt):
     system = dyn.make_system(opt["system"])
     d = system.dim
@@ -284,7 +272,10 @@ def cmd_glue(opt):
         "residual": result.residual,
         "iterations": result.iterations,
         "z": [float(v) for v in result.z],
-        "deviations": _segment_deviations(plan, result),
+        # worst distance from the solved cycle to each glued-in segment; the
+        # plan's chain alternates segments and connectors
+        "deviations": [float(v) for v in
+                       shadow.segment_deviations(result.points, plan.pseudo)[0][0::2]],
         "plan": plan.to_dict(),
     }) + "\n"
 

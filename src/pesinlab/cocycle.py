@@ -78,6 +78,8 @@ def minimal_norm(jac, basis=None):
 # Largest invariance defect max |C^T Df B| accepted, relative to the largest
 # Jacobian entry along the orbit; C spans the orthogonal complement of B.
 _INVARIANCE_TOL = 1e-9
+# Rows per block of the prefix sum of step logs in OrbitData._full_logs.
+_PREFIX_BLOCK = 128
 
 
 def _sv(m, top):
@@ -200,8 +202,25 @@ class OrbitData:
                 f"restricted product over {n_max} steps underflows the float "
                 "range; use a shorter horizon")
         scale = np.zeros((n_max + 1, self.batch))
-        np.cumsum(np.log(mags), axis=0, out=scale[1:])
+        scale[1:] = _prefix_sum(np.log(mags))
         return scale + np.log(sv)
+
+
+def _prefix_sum(a):
+    """Prefix sums along axis 0, blocked: sequential within blocks of
+    _PREFIX_BLOCK rows, then the running block totals are added.  A
+    sequential sum's rounding grows with the length n; this one grows with
+    _PREFIX_BLOCK + n / _PREFIX_BLOCK.  The first block's prefixes keep
+    their bits.
+    """
+    n, rest = len(a), a.shape[1:]
+    nb = -(-n // _PREFIX_BLOCK)
+    blocks = np.zeros((nb * _PREFIX_BLOCK,) + rest)
+    blocks[:n] = a
+    blocks = np.cumsum(blocks.reshape((nb, _PREFIX_BLOCK) + rest), axis=1)
+    offsets = np.zeros((nb,) + rest)
+    np.cumsum(blocks[:-1, -1], axis=0, out=offsets[1:])
+    return (blocks + offsets[:, None]).reshape((nb * _PREFIX_BLOCK,) + rest)[:n]
 
 
 def log_norm_blocks(system, x, splitting, bundle, K, l, r, direction="fwd"):
@@ -385,7 +404,9 @@ def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
 
 
 def _chord(theta):
-    return math.sqrt(max(0.0, 2.0 - 2.0 * math.cos(theta)))
+    """|u - v| for unit vectors at angle theta; 2 sin(theta/2) keeps the bits
+    of small angles that sqrt(2 - 2 cos theta) cancels away."""
+    return 2.0 * math.sin(0.5 * theta)
 
 
 def subbundle_angle(splitting):
@@ -420,7 +441,7 @@ def angle_report(system, x, splitting, S, samples):
     """
     if S < 1 or samples < 2:
         raise ValueError(f"need S >= 1 and samples >= 2, got S={S}, samples={samples}")
-    dyn.iterate(system, x, 1)  # validates the point against the system
+    dyn.as_point(x, system.dim)  # validates the point against the system
     chord = subbundle_angle(splitting)
     angles = (chord,) * samples
     return AngleReport(angles, angles, chord, S)

@@ -224,7 +224,7 @@ def check_qh_pseudo_orbit(system, segments, zeta, e, delta, k, K):
 def subspace_gap(image_basis, target_basis):
     """Worst distance from a unit vector of one subspace to the other.
 
-    Computed from the largest principal angle as sqrt(2 - 2 cos theta); 0
+    Computed from the largest principal angle as 2 sin(theta / 2); 0
     exactly when the subspaces coincide.
     """
     u = np.atleast_2d(np.asarray(image_basis, dtype=float))

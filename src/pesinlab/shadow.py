@@ -1,10 +1,13 @@
 """Pseudo-orbits, shadowing verification, and Newton orbit realization.
 
 A pseudo-orbit is a chain of true orbit segments with small jumps at the
-seams.  The solver realizes a nearby true orbit (periodic when the window
-is a cycle) by Newton iteration on the concatenated orbit equation; each
-step solves the block-bidiagonal linearization sparsely.  Open windows are
-underdetermined by one block and are solved in the minimum-norm sense.
+seams.  Closing and shadowing solve one orbit equation on the chain points
+z_0, z_1, ...: z_{nxt[j]} = f(z_j) for j = 0..p-1, where p is the total
+length and nxt[j] = (j + 1) mod len(z).  A periodic window has p points, so
+the last step lands back on z_0; an open window has p + 1, so it lands on
+the extra endpoint.  Newton iteration solves the block linearization
+sparsely; open windows are underdetermined by one block and are solved in
+the minimum-norm sense.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "read_pseudo_orbit",
     "write_pseudo_orbit",
     "cumulative_times",
+    "segment_deviations",
     "verify_shadowing",
     "ShadowResult",
     "solve_shadow",
@@ -89,12 +93,16 @@ class PseudoOrbit:
     @property
     def gaps(self):
         """Seam distances rho(end of segment i, start of segment i+1)."""
-        ends = [s[-1] for s in self.segments]
-        starts = [s[0] for s in self.segments[1:]]
-        if self.periodic:
-            starts.append(self.segments[0][0])
-        return tuple(
-            float(dyn.torus_distance(e, s)) for e, s in zip(ends, starts))
+        return _seam_gaps(self.segments, self.periodic)
+
+
+def _seam_gaps(segments, periodic):
+    """rho(end of segment i, start of segment i+1); the last seam of a
+    periodic window wraps to segment 0, an open window has no last seam."""
+    ends = np.array([s[-1] for s in segments])
+    nexts = np.array([s[0] for s in segments[1:] + segments[:1]])
+    gaps = dyn.torus_distance(ends, nexts).tolist()
+    return tuple(gaps if periodic else gaps[:-1])
 
 
 def make_pseudo_orbit(system, starts, n_list, periodic, delta=None):
@@ -105,12 +113,11 @@ def make_pseudo_orbit(system, starts, n_list, periodic, delta=None):
     starts = [np.asarray(x, dtype=float) for x in starts]
     if len(starts) != len(n_list):
         raise ValueError(f"{len(starts)} starts but {len(n_list)} lengths")
+    if any(int(n) < 1 for n in n_list):
+        raise ValueError(f"segment lengths must be >= 1, got {list(n_list)}")
     segs = tuple(dyn.orbit_points(system, x, int(n)) for x, n in zip(starts, n_list))
     if delta is None:
-        ends = [s[-1] for s in segs]
-        nxt = [s[0] for s in segs[1:]] + ([segs[0][0]] if periodic else [])
-        worst = max((float(dyn.torus_distance(e, s)) for e, s in zip(ends, nxt)),
-                    default=0.0)
+        worst = max(_seam_gaps(segs, periodic), default=0.0)
         delta = max(worst * (1.0 + 1e-9), 1e-15)
     return PseudoOrbit(segments=segs, periodic=bool(periodic), delta=float(delta))
 
@@ -208,34 +215,33 @@ def cumulative_times(n_list, i):
     return sum(seq[:i]) if i > 0 else -sum(seq[i:])
 
 
-def _worst_deviation(chain_at, pseudo):
-    """Worst distance between chain points and the stored pseudo points.
+def segment_deviations(points, pseudo):
+    """Worst rho(points[(c_i + j) mod len(points)], point j of segment i).
 
-    ``chain_at(c, count)`` returns the candidate orbit points at chain
-    indices c..c+count-1; segments are compared against their own stored
-    rows (the data being shadowed), so no long re-iteration is involved.
+    c_i is the chain time at which segment i starts.  The modulus wraps a
+    periodic solution (one point per step) back to its first point and
+    leaves a true orbit or an open solution (total_length + 1 points) as it
+    is.  Segments are compared against their own stored rows, the data
+    being shadowed, so no long re-iteration is involved.  Returns the
+    per-segment maxima and the (segment, offset) of the first worst point.
     """
-    worst, where = 0.0, (0, 0)
-    c = 0
-    for i, seg in enumerate(pseudo.segments):
-        n_i = len(seg) - 1
-        dev = dyn.torus_distance(chain_at(c, n_i + 1), seg)
-        j = int(np.argmax(dev))
-        if dev[j] > worst:
-            worst, where = float(dev[j]), (i, j)
-        c += n_i
-    return worst, where
-
-
-def _deviation(system, x, pseudo):
-    """Worst rho(f^{c_i+j}(x), stored point j of segment i) and its (i, j)."""
-    orbit = dyn.orbit_points(system, np.asarray(x, dtype=float), pseudo.total_length)
-    return _worst_deviation(lambda c, count: orbit[c:c + count], pseudo)
+    lengths = np.array([len(s) for s in pseudo.segments])
+    first = np.cumsum(lengths) - lengths
+    rows = np.concatenate(pseudo.segments)
+    # row r of segment i is chain point r - i: each segment's last row and
+    # the next segment's first row sit at the same chain time
+    chain = np.arange(len(rows)) - np.arange(pseudo.m).repeat(lengths)
+    dev = dyn.torus_distance(points.take(chain, axis=0, mode="wrap"), rows)
+    k = int(dev.argmax())
+    i = int(first.searchsorted(k, side="right")) - 1
+    return np.maximum.reduceat(dev, first), (i, k - int(first[i]))
 
 
 def verify_shadowing(system, x, pseudo, epsilon):
     """(within, worst deviation, worst (segment, offset)) for a candidate point."""
-    worst, where = _deviation(system, x, pseudo)
+    orbit = dyn.orbit_points(system, np.asarray(x, dtype=float), pseudo.total_length)
+    worsts, where = segment_deviations(orbit, pseudo)
+    worst = float(worsts.max())
     return worst < epsilon, worst, where
 
 
@@ -269,62 +275,44 @@ class ShadowResult:
         }
 
 
-def _residual(system, z, periodic):
-    """Per-step defects z_{j+1} (-) f(z_j); rows j = 0..len-1(-1 if open)."""
-    if periodic:
-        fz = system.step_many(z)
-        return dyn.torus_diff(np.roll(z, -1, axis=0), fz)
-    fz = system.step_many(z[:-1])
-    return dyn.torus_diff(z[1:], fz)
+def _residual(system, z, nxt):
+    """Per-step defects z_{nxt[j]} (-) f(z_j), j = 0..len(nxt)-1."""
+    return dyn.torus_diff(z[nxt], system.step_many(z[:len(nxt)]))
 
 
-def _newton_matrix(system, z, periodic):
-    """Sparse block matrix of the linearized orbit equation at z."""
-    pts = z if periodic else z[:-1]
-    p, d = pts.shape
-    jac = system.jacobian_many(pts)
-    eye = np.broadcast_to(np.eye(d), (p, d, d))
-    if periodic:
-        data = np.empty((2 * p, d, d))
-        indices = np.empty(2 * p, dtype=np.int32)
-        for j in range(p):
-            lo, hi = ((j + 1) % p, j) if j == p - 1 else (j, j + 1)
-            pair = ((eye[j], -jac[j]) if j == p - 1 else (-jac[j], eye[j]))
-            data[2 * j], data[2 * j + 1] = pair
-            indices[2 * j], indices[2 * j + 1] = lo, hi
-        shape = (p * d, p * d)
-    else:
-        data = np.empty((2 * p, d, d))
-        indices = np.empty(2 * p, dtype=np.int32)
-        data[0::2], data[1::2] = -jac, eye
-        indices[0::2] = np.arange(p)
-        indices[1::2] = np.arange(1, p + 1)
-        shape = (p * d, (p + 1) * d)
+def _newton_matrix(system, z, nxt):
+    """Sparse linearized orbit equation at z: block row j holds -Df(z_j) in
+    column j and I in column nxt[j] (both in column 0 for a 1-point cycle)."""
+    p, d = len(nxt), z.shape[1]
+    data = np.empty((p, 2, d, d))
+    data[:, 0] = -system.jacobian_many(z[:p])
+    data[:, 1] = np.eye(d)
+    indices = np.column_stack([np.arange(p), nxt]).astype(np.int32).ravel()
     indptr = np.arange(0, 2 * p + 1, 2, dtype=np.int32)
-    return sparse.bsr_matrix((data, indices, indptr), shape=shape).tocsr()
+    return sparse.bsr_matrix((data.reshape(2 * p, d, d), indices, indptr),
+                             shape=(p * d, len(z) * d)).tocsr()
 
 
 def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     """Newton realization of an orbit through the pseudo-orbit window.
 
-    The unknowns are the concatenated orbit points, seeded by the
-    pseudo-orbit itself.  Raises ConvergenceError (with diagnostics
-    attached) when the residual fails to reach tol; nothing is returned
-    in that case.
+    The unknowns are the chain points, seeded by the pseudo-orbit itself:
+    one per step, plus the final endpoint when the window is open.  Raises
+    ConvergenceError (with diagnostics attached) when the residual fails to
+    reach tol; nothing is returned in that case.
     """
     if pseudo.total_length > _MAX_TOTAL:
         raise ValueError(f"window too long: {pseudo.total_length} > {_MAX_TOTAL}")
     if system.dim != pseudo.dim:
         raise ValueError(f"system dim {system.dim} != pseudo-orbit dim {pseudo.dim}")
-    if pseudo.periodic:
-        z = np.concatenate([s[:-1] for s in pseudo.segments], axis=0)
-    else:
-        z = np.concatenate(
-            [s[:-1] for s in pseudo.segments] + [pseudo.segments[-1][-1:]], axis=0)
+    p = pseudo.total_length
+    tail = [] if pseudo.periodic else [pseudo.segments[-1][-1:]]
+    z = np.concatenate([s[:-1] for s in pseudo.segments] + tail, axis=0)
+    nxt = np.arange(1, p + 1) % len(z)
 
     history = []
     for it in range(max_iter + 1):
-        r = _residual(system, z, pseudo.periodic)
+        r = _residual(system, z, nxt)
         res = float(np.abs(r).max())
         history.append(res)
         if res < tol:
@@ -341,26 +329,20 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
                 f"(residual {res:.3e}, tol {tol:.3e})",
                 result={"residual_history": history, "iterations": it},
             )
-        mat = _newton_matrix(system, z, pseudo.periodic)
+        mat = _newton_matrix(system, z, nxt)
         rhs = -r.ravel()
         if pseudo.periodic:
             delta = spsolve(mat, rhs)
         else:
-            gram = (mat @ mat.T).tocsc()
-            delta = mat.T @ spsolve(gram, rhs)
+            delta = mat.T @ spsolve((mat @ mat.T).tocsc(), rhs)
         z = dyn.wrap(z + delta.reshape(z.shape))
 
-    p = pseudo.total_length
-    if pseudo.periodic:
-        eps, _ = _worst_deviation(
-            lambda c, count: z[np.arange(c, c + count) % p], pseudo)
-    else:
-        eps, _ = _worst_deviation(lambda c, count: z[c:c + count], pseudo)
+    worsts, _ = segment_deviations(z, pseudo)
     return ShadowResult(
         points=z,
         periodic=pseudo.periodic,
-        period=pseudo.total_length if pseudo.periodic else None,
-        epsilon_achieved=eps,
+        period=p if pseudo.periodic else None,
+        epsilon_achieved=float(worsts.max()),
         residual=history[-1],
         iterations=len(history) - 1,
     )
@@ -368,12 +350,7 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
 
 def close_orbit(system, x, n, tol=1e-12):
     """Periodic orbit near an almost-returning segment (single-seam window)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    seg = dyn.orbit_points(system, np.asarray(x, dtype=float), int(n))
-    gap = float(dyn.torus_distance(seg[-1], seg[0]))
-    pseudo = PseudoOrbit(segments=(seg,), periodic=True,
-                         delta=max(gap * (1.0 + 1e-9), 1e-15))
+    pseudo = make_pseudo_orbit(system, [x], [n], periodic=True)
     return solve_shadow(system, pseudo, tol=tol)
 
 

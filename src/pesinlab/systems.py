@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "Splitting",
-    "OrbitSegment",
     "TorusMap",
     "CatMap",
     "CircleG",
@@ -44,9 +43,7 @@ __all__ = [
     "torus_distance",
     "step",
     "inverse_step",
-    "iterate",
     "orbit_points",
-    "derivative",
     "reference_splitting",
 ]
 
@@ -84,10 +81,7 @@ def _cospi(t):
 
 
 def g_map(x):
-    x = np.mod(np.asarray(x, dtype=float), 1.0)
-    y = x + (G_B1 / (2.0 * np.pi)) * _sinpi(2.0 * x) \
-          + (G_B2 / (4.0 * np.pi)) * _sinpi(4.0 * x)
-    return wrap(y)
+    return wrap(g_map_lift(np.mod(x, 1.0)))
 
 
 def g_prime(x):
@@ -173,9 +167,6 @@ class TorusMap:
 
     def inverse_step(self, p):
         return self.inverse_many(np.asarray(p, dtype=float)[None, :])[0]
-
-    def jacobian(self, p):
-        return self.jacobian_many(np.asarray(p, dtype=float)[None, :])[0]
 
     def step_many(self, pts):
         raise NotImplementedError
@@ -518,34 +509,6 @@ def reference_splitting(system, p=None):
         f"no reference splitting defined for system {system.name!r}")
 
 
-@dataclass(frozen=True)
-class OrbitSegment:
-    """A finite true-orbit piece: base point, length n, cached points f^0..f^n."""
-
-    base: np.ndarray
-    length: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if self.length < 1:
-            raise ValueError(f"segment length must be >= 1, got {self.length}")
-        if pts.shape != (self.length + 1, np.atleast_1d(self.base).shape[0]):
-            raise DimensionMismatchError(
-                f"cached points shape {pts.shape} does not match length {self.length}")
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def end(self):
-        return self.points[-1]
-
-    @classmethod
-    def from_points(cls, points):
-        pts = np.asarray(points, dtype=float)
-        return cls(pts[0], pts.shape[0] - 1, pts)
-
-
 def orbit_points(system, p, n):
     """Forward orbit as an (n+1, d) array; points wrapped into [0, 1)."""
     return system.orbit(as_point(p, system.dim), n)
@@ -577,13 +540,3 @@ def step(system, p):
 
 def inverse_step(system, p):
     return system.inverse_step(as_point(p, system.dim))
-
-
-def derivative(system, p):
-    return system.jacobian(as_point(p, system.dim))
-
-
-def iterate(system, p, n):
-    """OrbitSegment for the forward orbit of p (n >= 1 steps)."""
-    return OrbitSegment(as_point(p, system.dim), n, orbit_points(system, p, n))
-

@@ -7,6 +7,7 @@ import pytest
 
 from pesinlab import systems as dyn
 from pesinlab.cocycle import (
+    _prefix_sum,
     OrbitData,
     alpha_constant,
     angle_report,
@@ -186,6 +187,25 @@ def test_mean_exponents_fiber0_long_horizon(p24, p24_split):
     rep = mean_exponents(p24, np.array([0.0, 0.3, 0.7]), p24_split,
                          K=1, horizon=20_000)
     assert rep.lambda_s_hat == pytest.approx(-LOG2, abs=1e-12)
+
+
+def test_mean_exponents_fiber0_long_horizon_both_rates(p24, p24_split):
+    # every step log is exact to an ulp; the prefix sum of 20000 of them
+    # must not drift (a sequential cumsum is off by ~1e-13 here)
+    rep = mean_exponents(p24, np.array([0.0, 0.3, 0.7]), p24_split,
+                         K=1, horizon=20_000)
+    assert rep.lambda_s_hat == pytest.approx(-LOG2, abs=1e-14)
+    assert rep.lambda_u_hat == pytest.approx(LOG_U, abs=1e-14)
+
+
+def test_prefix_sum_blocks():
+    a = np.random.default_rng(0).standard_normal((300, 2))
+    s = _prefix_sum(a)
+    seq = np.cumsum(a, axis=0)
+    # one block of 128 keeps the sequential sum's bits; later rows agree
+    assert np.array_equal(s[:128], seq[:128])
+    assert np.allclose(s, seq, rtol=0.0, atol=1e-12)
+    assert _prefix_sum(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_full_products_underflow_guard(p24, p24_split):

@@ -162,3 +162,11 @@ def test_subspace_gap_oracles(cat, cat_split):
     assert subspace_gap(img, cat_split.e_basis) < 1e-12
     with pytest.raises(DimensionMismatchError):
         subspace_gap(np.eye(2), e1)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-8, 1e-9])
+def test_subspace_gap_small_angles(theta):
+    # sqrt(2 - 2 cos theta) cancels to 0 below ~1e-8; 2 sin(theta / 2) keeps it
+    line = np.array([[math.cos(theta)], [math.sin(theta)]])
+    gap = subspace_gap(np.array([[1.0], [0.0]]), line)
+    assert gap == pytest.approx(2.0 * math.sin(theta / 2.0), rel=1e-15)

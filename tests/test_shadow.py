@@ -7,6 +7,7 @@ from pesinlab import systems as dyn
 from pesinlab.errors import ConvergenceError, PseudoOrbitFormatError
 from pesinlab.shadow import (
     PseudoOrbit,
+    _newton_matrix,
     close_orbit,
     cumulative_times,
     estimate_shadowing_constant,
@@ -49,32 +50,62 @@ def test_make_pseudo_orbit_auto_delta(cat):
     po = make_pseudo_orbit(cat, [x0, x1], [6, 4], periodic=False)
     assert po.delta == pytest.approx(5e-7, rel=1e-6)
     assert po.gaps[0] < po.delta
+    # a periodic window adds the seam from the last end back to x0
+    cyc = make_pseudo_orbit(cat, [x0, x1], [6, 4], periodic=True)
+    wrap_gap = float(dyn.torus_distance(cyc.segments[-1][-1], x0))
+    assert cyc.gaps == (po.gaps[0], wrap_gap) and wrap_gap > 1e-3
+    assert cyc.delta == pytest.approx(wrap_gap, rel=1e-6)
+    with pytest.raises(ValueError):
+        PseudoOrbit(segments=cyc.segments, periodic=True, delta=po.delta)
+    with pytest.raises(ValueError):
+        close_orbit(cat, x0, 0)
+
+
+def _worst_by_loop(system, x, pseudo):
+    """Worst rho(f^{c_i+j}(x), point j of segment i), first (i, j) on ties."""
+    orbit = dyn.orbit_points(system, x, pseudo.total_length)
+    worst, where, c = 0.0, (0, 0), 0
+    for i, seg in enumerate(pseudo.segments):
+        for j, row in enumerate(seg):
+            dev = float(dyn.torus_distance(orbit[c + j], row))
+            if dev > worst:
+                worst, where = dev, (i, j)
+        c += len(seg) - 1
+    return worst, where
 
 
 def test_verify_and_solve_exact_orbit(cat):
     x0 = np.array([0.1234, 0.777])
     mid = dyn.orbit_points(cat, x0, 6)[-1]
     po = make_pseudo_orbit(cat, [x0, mid], [6, 7], periodic=False)
-    ok, dev, _ = verify_shadowing(cat, x0, po, 1e-12)
-    assert ok and dev == 0.0
+    assert verify_shadowing(cat, x0, po, 1e-12) == (True, 0.0, (0, 0))
     res = solve_shadow(cat, po)
     assert res.iterations == 0 and res.epsilon_achieved == 0.0
     assert res.period is None and not res.periodic
-    bad_ok, bad_dev, _ = verify_shadowing(cat, dyn.wrap(x0 + 2e-6), po, 1e-6)
+    bad = dyn.wrap(x0 + 2e-6)
+    bad_ok, bad_dev, where = verify_shadowing(cat, bad, po, 1e-6)
     assert not bad_ok and bad_dev > 1e-6
+    # the perturbation grows by lambda_u per step: worst at the last point
+    assert where == (1, 7)
+    assert (bad_dev, where) == _worst_by_loop(cat, bad, po)
 
 
 def test_verify_consistency_after_solve(cat):
     # solved point re-verifies at its own epsilon over short windows
     rng = np.random.default_rng(8)
+    wheres = []
     for trial in range(5):
         x0 = rng.random(2)
         end = dyn.orbit_points(cat, x0, 4)[-1]
         x1 = dyn.wrap(end + 1e-8 * rng.standard_normal(2))
         po = make_pseudo_orbit(cat, [x0, x1], [4, 4], periodic=False)
         res = solve_shadow(cat, po)
-        ok, dev, _ = verify_shadowing(cat, res.z, po, res.epsilon_achieved + 1e-12)
+        ok, dev, where = verify_shadowing(cat, res.z, po, res.epsilon_achieved + 1e-12)
         assert ok, (trial, dev, res.epsilon_achieved)
+        assert (dev, where) == _worst_by_loop(cat, res.z, po)
+        wheres.append(where)
+    # the worst point sits on one side of the seam or the other
+    assert wheres == [(0, 4), (1, 0), (0, 4), (1, 0), (0, 4)]
 
 
 def _close_oracle_points(cat, x, n):
@@ -139,17 +170,30 @@ def _chain_rows(pseudo):
     return np.vstack(rows)
 
 
-def _dense_open_oracle(cat, pseudo):
-    """Minimum-norm Newton correction for an open chain, dense algebra."""
+def _dense_cat_matrix(p, n_points):
+    """Dense linearized cat orbit equation: block row j holds -A in column j
+    and I in column (j + 1) mod n_points (both in column 0 when it is 1)."""
     A = np.array([[2.0, 1.0], [1.0, 1.0]])
-    z = _chain_rows(pseudo)
-    p = z.shape[0] - 1
-    r = dyn.torus_diff(z[1:], cat.step_many(z[:-1])).ravel()
-    J = np.zeros((2 * p, 2 * (p + 1)))
+    J = np.zeros((2 * p, 2 * n_points))
     for j in range(p):
-        J[2 * j:2 * j + 2, 2 * j:2 * j + 2] = -A
-        J[2 * j:2 * j + 2, 2 * (j + 1):2 * (j + 1) + 2] = np.eye(2)
-    delta = J.T @ np.linalg.solve(J @ J.T, -r)
+        k = (j + 1) % n_points
+        J[2 * j:2 * j + 2, 2 * j:2 * j + 2] -= A
+        J[2 * j:2 * j + 2, 2 * k:2 * k + 2] += np.eye(2)
+    return J
+
+
+def _dense_newton_step(cat, pseudo):
+    """One Newton step on the chain, dense algebra: square solve for a
+    cycle, minimum norm for an open chain."""
+    z = _chain_rows(pseudo)
+    p = pseudo.total_length
+    J = _dense_cat_matrix(p, len(z))
+    nxt = [(j + 1) % len(z) for j in range(p)]
+    r = dyn.torus_diff(z[nxt], cat.step_many(z[:p])).ravel()
+    if pseudo.periodic:
+        delta = np.linalg.solve(J, -r)
+    else:
+        delta = J.T @ np.linalg.solve(J @ J.T, -r)
     return dyn.wrap(z + delta.reshape(-1, 2))
 
 
@@ -161,8 +205,29 @@ def test_open_window_min_norm_oracle(cat):
         x1 = dyn.wrap(end + 1e-6 * rng.standard_normal(2))
         po = make_pseudo_orbit(cat, [x0, x1], [7, 6], periodic=False)
         res = solve_shadow(cat, po)
-        oracle = _dense_open_oracle(cat, po)
+        oracle = _dense_newton_step(cat, po)
         assert float(np.max(dyn.torus_distance(res.points, oracle))) < 1e-10
+
+
+@pytest.mark.parametrize("starts, lengths", [
+    ([[1e-7, -2e-7]], [1]),                     # p = 1: both blocks in column 0
+    ([[0.2 + 3e-7, 0.4 - 1e-7]], [2]),          # p = 2, one segment
+    ([[0.2 + 3e-7, 0.4 - 1e-7], [0.8 - 2e-7, 0.6 + 1e-7]], [1, 1]),  # p = 2, two seams
+])
+def test_short_cycle_dense_oracle(cat, starts, lengths):
+    # the cat map is linear mod 1, so one exact Newton step solves the cycle;
+    # 0 is its fixed point and (1/5, 2/5) has period 2
+    po = make_pseudo_orbit(cat, [dyn.wrap(np.array(x)) for x in starts], lengths,
+                           periodic=True)
+    z = _chain_rows(po)
+    nxt = np.arange(1, len(z) + 1) % len(z)
+    assert np.array_equal(_newton_matrix(cat, z, nxt).toarray(),
+                          _dense_cat_matrix(len(z), len(z)))
+    res = solve_shadow(cat, po)
+    assert res.period == len(z) == sum(lengths)
+    assert float(np.max(dyn.torus_distance(res.points,
+                                           _dense_newton_step(cat, po)))) < 1e-12
+    assert res.residual < 1e-12
 
 
 def test_file_roundtrip(cat, tmp_path):

@@ -113,13 +113,6 @@ def test_cat_orbit_matches_generic_step_loop(cat):
     assert np.array_equal(orb * 1024, np.round(orb * 1024))
 
 
-def test_iterate_returns_segment(cat):
-    seg = dyn.iterate(cat, np.array([0.1, 0.2]), 4)
-    assert isinstance(seg, dyn.OrbitSegment)
-    assert seg.length == 4 and seg.points.shape == (5, 2)
-    assert np.array_equal(seg.end, seg.points[-1])
-
-
 def test_make_system_names():
     assert isinstance(dyn.make_system("cat"), dyn.CatMap)
     assert isinstance(dyn.make_system("product24"), dyn.Product24)
