@@ -118,12 +118,8 @@ class OrbitData:
         pts = dyn.orbit_many(system, xs, self.n_fwd)
         pieces = [(slice(self.n_back, None), pts[:-1])]   # times 0..n_fwd-1
         if self.n_back:
-            back = np.empty((self.n_back,) + pts.shape[1:])  # times -n_back..-1
-            cur = pts[0]
-            for t in range(self.n_back - 1, -1, -1):
-                cur = system.inverse_many(cur)
-                back[t] = cur
-            pieces.append((slice(0, self.n_back), back))
+            back = dyn.orbit_many_back(system, xs, self.n_back)
+            pieces.append((slice(0, self.n_back), back[:0:-1]))  # times -n_back..-1
 
         self._r = {}
         bundles = {}

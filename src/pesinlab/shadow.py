@@ -12,7 +12,7 @@ the minimum-norm sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -47,24 +47,31 @@ class PseudoOrbit:
 
     Each segment is the (n_i + 1, d) array of points x_i, f(x_i), ...,
     f^{n_i}(x_i).  A periodic window represents one full period: the last
-    seam wraps to the first segment.
+    seam wraps to the first segment.  With delta=None the gap bound is set
+    just above the largest seam gap.  ``gaps`` holds the seam distances
+    rho(end of segment i, start of segment i+1).
     """
 
     segments: tuple
     periodic: bool
-    delta: float
+    delta: float | None = None
+    gaps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(np.asarray(s, dtype=float) for s in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("pseudo-orbit needs at least one segment")
-        if not self.delta > 0.0:
+        if self.delta is not None and not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         d = segs[0].shape[1] if segs[0].ndim == 2 else 0
         for s in segs:
             if s.ndim != 2 or s.shape[1] != d or s.shape[0] < 2:
                 raise ValueError("each segment must be an (n_i + 1, d) array, n_i >= 1")
+        object.__setattr__(self, "gaps", _seam_gaps(segs, self.periodic))
+        if self.delta is None:
+            worst = max(self.gaps, default=0.0)
+            object.__setattr__(self, "delta", max(worst * (1.0 + 1e-9), 1e-15))
         for i, gap in enumerate(self.gaps):
             if not gap < self.delta:
                 raise ValueError(
@@ -90,11 +97,6 @@ class PseudoOrbit:
     def total_length(self):
         return sum(self.n_list)
 
-    @property
-    def gaps(self):
-        """Seam distances rho(end of segment i, start of segment i+1)."""
-        return _seam_gaps(self.segments, self.periodic)
-
 
 def _seam_gaps(segments, periodic):
     """rho(end of segment i, start of segment i+1); the last seam of a
@@ -116,10 +118,8 @@ def make_pseudo_orbit(system, starts, n_list, periodic, delta=None):
     if any(int(n) < 1 for n in n_list):
         raise ValueError(f"segment lengths must be >= 1, got {list(n_list)}")
     segs = tuple(dyn.orbit_points(system, x, int(n)) for x, n in zip(starts, n_list))
-    if delta is None:
-        worst = max(_seam_gaps(segs, periodic), default=0.0)
-        delta = max(worst * (1.0 + 1e-9), 1e-15)
-    return PseudoOrbit(segments=segs, periodic=bool(periodic), delta=float(delta))
+    return PseudoOrbit(segments=segs, periodic=bool(periodic),
+                       delta=None if delta is None else float(delta))
 
 
 def write_pseudo_orbit(pseudo, path):

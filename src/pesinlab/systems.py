@@ -16,6 +16,7 @@ Jacobians, as read from CLI config files.
 from __future__ import annotations
 
 import ast
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -60,6 +61,8 @@ CAT_CONTRACTING = (3.0 - _SQRT5) / 2.0
 # slope; g' stays positive (minimum ~0.1902), so g is a diffeomorphism.
 G_B1 = -(2.0 + _SQRT5) / 4.0
 G_B2 = _SQRT5 / 4.0
+_G_C1 = G_B1 / (2.0 * math.pi)
+_G_C2 = G_B2 / (4.0 * math.pi)
 
 
 def _sinpi(t):
@@ -116,14 +119,87 @@ def g_inverse(y):
 def g_map_lift(x):
     """Lift of g to [0, 1] without the final wrap (monotone on [0, 1])."""
     x = np.asarray(x, dtype=float)
-    return x + (G_B1 / (2.0 * np.pi)) * _sinpi(2.0 * x) \
-             + (G_B2 / (4.0 * np.pi)) * _sinpi(4.0 * x)
+    return x + _G_C1 * _sinpi(2.0 * x) + _G_C2 * _sinpi(4.0 * x)
 
 
 # Nodes x_i and values g(x_i) of the lift; g is increasing, so (y_i, x_i)
 # tabulates the inverse for the Newton seed in g_inverse.
 _G_TABLE_X = np.linspace(0.0, 1.0, 4097)
 _G_TABLE_Y = g_map_lift(_G_TABLE_X)
+
+
+# Plain-float twins of the circle functions above, for single-start orbits,
+# where numpy's per-call overhead outweighs the work.  Each repeats its array
+# twin operation for operation: Python's float % is numpy's mod, and
+# math.sin/math.cos must return np.sin/np.cos's bits.  tests/test_systems.py
+# checks both, so a numpy build whose trig differs fails there.
+
+def _wrap1(x):
+    r = x % 1.0
+    return 0.0 if r == 1.0 else r
+
+
+def _sinpi1(t):
+    r = t % 2.0
+    sign = 1.0
+    if r > 1.0:
+        sign, r = -1.0, r - 1.0
+    if r > 0.5:
+        r = 1.0 - r
+    return sign * math.sin(math.pi * r)
+
+
+def _cospi1(t):
+    r = t % 2.0
+    if r > 1.0:
+        r = 2.0 - r
+    sign = 1.0
+    if r > 0.5:
+        sign, r = -1.0, 1.0 - r
+    return sign * math.cos(math.pi * r)
+
+
+def _g_lift1(x):
+    return x + _G_C1 * _sinpi1(2.0 * x) + _G_C2 * _sinpi1(4.0 * x)
+
+
+def _g_prime1(x):
+    return 1.0 + G_B1 * _cospi1(2.0 * x) + G_B2 * _cospi1(4.0 * x)
+
+
+def _g_map1(x):
+    return _wrap1(_g_lift1(x % 1.0))
+
+
+_G_NODES_X = _G_TABLE_X.tolist()
+_G_NODES_Y = _G_TABLE_Y.tolist()
+# The slope past the last node is 0, so y = 1.0 (what y % 1.0 gives for a
+# tiny negative y) seeds at x = 1, as np.interp does at the right end.
+_G_NODE_SLOPES = (np.diff(_G_TABLE_X) / np.diff(_G_TABLE_Y)).tolist() + [0.0]
+
+
+def _g_inverse1(y):
+    """g_inverse of one float.  The seed is np.interp's formula on the
+    node pair bracketing y (the table runs from g(0) = 0 to g(1) = 1)."""
+    y = y % 1.0
+    j = bisect.bisect_right(_G_NODES_Y, y) - 1
+    w = _G_NODE_SLOPES[j] * (y - _G_NODES_Y[j]) + _G_NODES_X[j]
+    slope = _g_prime1(w)
+    for _ in range(4):
+        w = w - (_g_lift1(w) - y) / slope
+    w = min(max(w, 0.0), 1.0)
+    if y == 0.0 or y == 0.5:
+        w = y
+    return _wrap1(w)
+
+
+def _iterate1(fn, x, n):
+    """[x, fn(x), ..., fn^n(x)] for one float x."""
+    xs = [x]
+    for _ in range(n):
+        x = fn(x)
+        xs.append(x)
+    return xs
 
 
 def wrap(x):
@@ -185,6 +261,14 @@ class TorusMap:
             pts[t + 1] = self.step(pts[t])
         return pts
 
+    def orbit_back(self, p, n):
+        """Backward orbit of a wrapped start p: row t holds f^{-t}(p)."""
+        pts = np.empty((n + 1, self.dim))
+        pts[0] = p
+        for t in range(n):
+            pts[t + 1] = self.inverse_step(pts[t])
+        return pts
+
     def _check(self, pts):
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1] != self.dim:
@@ -224,6 +308,16 @@ class CatMap(TorusMap):
             pts.append((y, z))
         return np.array(pts)
 
+    def orbit_back(self, p, n):
+        # y - z and 2z - y round once, as in the matrix product with
+        # CAT_INVERSE; they can be negative, so each is wrapped as wrap does.
+        y, z = float(p[0]), float(p[1])
+        pts = [(y, z)]
+        for _ in range(n):
+            y, z = _wrap1(y - z), _wrap1(2.0 * z - y)
+            pts.append((y, z))
+        return np.array(pts)
+
 
 class CircleG(TorusMap):
     """The circle factor g alone, as a 1-dimensional system."""
@@ -240,6 +334,12 @@ class CircleG(TorusMap):
     def jacobian_many(self, pts):
         pts = self._check(pts)
         return g_prime(pts)[..., None]
+
+    def orbit(self, p, n):
+        return np.array(_iterate1(_g_map1, float(p[0]), n))[:, None]
+
+    def orbit_back(self, p, n):
+        return np.array(_iterate1(_g_inverse1, float(p[0]), n))[:, None]
 
 
 class Product24(TorusMap):
@@ -269,6 +369,18 @@ class Product24(TorusMap):
         jac[..., 0, 0] = g_prime(pts[..., 0])
         jac[..., 1:, 1:] = CAT_MATRIX
         return jac
+
+    # The factors are independent, so an orbit is the circle orbit of x0
+    # beside the cat orbit of (x1, x2).
+    def orbit(self, p, n):
+        return np.column_stack((_CIRCLE.orbit(p[:1], n), _CAT.orbit(p[1:], n)))
+
+    def orbit_back(self, p, n):
+        return np.column_stack((_CIRCLE.orbit_back(p[:1], n),
+                                _CAT.orbit_back(p[1:], n)))
+
+
+_CIRCLE, _CAT = CircleG(), CatMap()
 
 
 _FORMULA_FUNCS = {
@@ -516,21 +628,29 @@ def orbit_points(system, p, n):
 
 def orbit_points_back(system, p, n):
     """Backward orbit: row t holds f^{-t}(p), t = 0..n."""
-    p = as_point(p, system.dim)
-    pts = np.empty((n + 1, system.dim))
-    pts[0] = p
-    for t in range(n):
-        pts[t + 1] = system.inverse_step(pts[t])
-    return pts
+    return system.orbit_back(as_point(p, system.dim), n)
 
 
 def orbit_many(system, starts, n):
     """Forward orbits of a batch of starts: (n+1, B, d)."""
+    return _orbit_many(system, starts, n, system.orbit, system.step_many)
+
+
+def orbit_many_back(system, starts, n):
+    """Backward orbits of a batch of starts: row t holds f^{-t}, (n+1, B, d)."""
+    return _orbit_many(system, starts, n, system.orbit_back, system.inverse_many)
+
+
+def _orbit_many(system, starts, n, orbit, step_many):
+    """A batch of one runs the system's single-start kernel; a larger batch
+    steps all starts at once."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    if len(starts) == 1:
+        return orbit(as_point(starts[0], system.dim), n)[:, None]
     out = np.empty((n + 1,) + starts.shape)
     out[0] = wrap(starts)
     for t in range(n):
-        out[t + 1] = system.step_many(out[t])
+        out[t + 1] = step_many(out[t])
     return out
 
 

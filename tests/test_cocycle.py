@@ -96,6 +96,27 @@ def test_orbit_data_rejects_non_invariant_splitting(cat_split):
         OrbitData(coords, np.array([0.2, 0.7]), coords.splitting, n_fwd=0, n_back=5)
 
 
+@pytest.mark.parametrize("name", ["cat", "product24", "composite"])
+def test_orbit_data_single_start_matches_batch_column(name, cat_split):
+    # a batch of one runs the plain-float orbit kernels, a batch of three the
+    # array steps; the restricted matrices must agree bit for bit, forward
+    # and backward, also for a start given unwrapped
+    if name == "composite":
+        system = _cat_composite(cat_split.e_basis.tolist(), cat_split.f_basis.tolist())
+        split = system.splitting
+    else:
+        system = dyn.make_system(name)
+        split = dyn.reference_splitting(system)
+    d = system.dim
+    xs = np.vstack([[1.0, -0.25, 2.5][:d],
+                    np.random.default_rng(8).random((2, d))])
+    batch = OrbitData(system, xs, split, n_fwd=30, n_back=25)
+    for i, x in enumerate(xs):
+        one = OrbitData(system, x, split, n_fwd=30, n_back=25)
+        for bundle in ("e", "f"):
+            assert np.array_equal(one._r[bundle][:, 0], batch._r[bundle][:, i])
+
+
 def test_log_norm_blocks_worked_example(p24, p24_split):
     # fiber 0: ||Df|E|| = max(1/2, lambda_s) = 1/2 at every step
     x = np.array([0.0, 0.3, 0.7])

@@ -1,7 +1,11 @@
 """Torus maps, splittings, and orbit helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.errors import (
@@ -111,6 +115,72 @@ def test_cat_orbit_matches_generic_step_loop(cat):
         assert np.array_equal(orb, dyn.TorusMap.orbit(cat, p, 500))
     # dyadic starts stay exactly on their lattice
     assert np.array_equal(orb * 1024, np.round(orb * 1024))
+
+
+# Coordinates for the kernel properties: the fixed points of g, the last
+# float below 1, and arbitrary values, wrapped or not (-2**-70 % 1.0 is 1.0).
+_EDGES = [0.0, 0.5, float(np.nextafter(1.0, 0.0)), float(np.nextafter(0.5, 0.0))]
+_unit = st.one_of(st.sampled_from(_EDGES),
+                  st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False))
+_coord = st.one_of(_unit, st.just(-2.0 ** -70),
+                   st.floats(-3.0, 3.0, allow_subnormal=False))
+_KERNEL_SYSTEMS = [dyn.CatMap(), dyn.CircleG(), dyn.Product24()]
+
+
+def test_math_trig_matches_numpy():
+    # the plain-float kernels rely on math.sin/cos returning np.sin/cos's bits
+    r = np.random.default_rng(4).random(200_000) * 0.5
+    t = np.pi * r
+    assert np.array_equal(np.sin(t), [math.sin(v) for v in t.tolist()])
+    assert np.array_equal(np.cos(t), [math.cos(v) for v in t.tolist()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_kernels_match_step_loops(data):
+    system = data.draw(st.sampled_from(_KERNEL_SYSTEMS))
+    p = dyn.as_point(data.draw(st.lists(_unit, min_size=system.dim,
+                                        max_size=system.dim)))
+    n = data.draw(st.integers(0, 60))
+    assert np.array_equal(system.orbit(p, n), dyn.TorusMap.orbit(system, p, n))
+    assert np.array_equal(system.orbit_back(p, n),
+                          dyn.TorusMap.orbit_back(system, p, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_points_of_unwrapped_starts_match_step_loops(data):
+    system = data.draw(st.sampled_from(_KERNEL_SYSTEMS))
+    x = data.draw(st.lists(_coord, min_size=system.dim, max_size=system.dim))
+    p = dyn.as_point(x)
+    assert np.array_equal(dyn.orbit_points(system, x, 20),
+                          dyn.TorusMap.orbit(system, p, 20))
+    assert np.array_equal(dyn.orbit_points_back(system, x, 20),
+                          dyn.TorusMap.orbit_back(system, p, 20))
+    assert np.array_equal(dyn.orbit_many(system, [x], 20)[:, 0],
+                          dyn.orbit_many(system, [x, x], 20)[:, 1])
+
+
+@given(_coord)
+def test_scalar_circle_functions_match_arrays(y):
+    arr = np.array([y])
+    assert dyn._g_inverse1(y) == dyn.g_inverse(arr)[0] == dyn.g_inverse(y)
+    assert dyn._g_map1(y) == dyn.g_map(arr)[0]
+    assert dyn._g_prime1(y) == dyn.g_prime(arr)[0]
+
+
+@given(_coord)
+def test_g_inverse_is_a_right_inverse(y):
+    back = dyn.g_map(np.array([dyn.g_inverse(y)]))
+    assert abs(dyn.torus_diff(back, dyn.wrap([y]))[0]) <= 4e-16
+
+
+@given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3).flatmap(
+    lambda a: st.tuples(st.just(a), st.lists(st.floats(-4.0, 4.0),
+                                             min_size=len(a), max_size=len(a)))))
+def test_torus_diff_in_half_open_interval(ab):
+    d = dyn.torus_diff(*ab)
+    assert np.all((-0.5 <= d) & (d < 0.5))
 
 
 def test_make_system_names():
