@@ -179,14 +179,31 @@ class TransitionTable:
         return int(self.X[self.resolved].max())
 
 
+# Entries of one block of the last-visit table; a block holds
+# max(1, _BLOCK_ENTRIES // m) source times for m balls.  Larger blocks save
+# little time and raise peak memory.
+_BLOCK_ENTRIES = 1 << 17
+
+
 def transition_times(system, cover, min_n, horizon, budget, seed=0):
     """Scan sampled orbits for the least transit >= min_n between ball pairs.
 
     Orbits are seeded independently from (seed, orbit index); the merge
     keeps the smallest transit per pair, breaking ties in favor of earlier
     orbits and earlier witness times, so growing the budget only refines.
-    Each orbit is one reverse-time sweep, O(horizon * m) time for m balls
-    and O(m^2) memory.
+
+    Each orbit is read through its last-visit table: L_j(u) is the last
+    time <= u at which the orbit is in ball j.  The least transit j -> i
+    is the minimum of s - L_j(s - min_n) over the hits (s, i): the times
+    s >= min_n at which the orbit is in ball i.
+    Every such candidate is a transit, and nothing is lost: if start t is
+    optimal and s is the first time >= t + min_n in ball i, then
+    t' = L_j(s - min_n) >= t is in ball j with the same first hit s, so
+    s - t' <= s - t, and optimality forces t' = t.  So every least transit
+    and its earliest start appear among the candidates.  An orbit costs
+    O((horizon + hits) * m) time and O(m^2 + block) memory for m balls,
+    where hits counts its (time, ball) memberships and a block of the
+    table holds at most _BLOCK_ENTRIES entries.
     """
     if min_n < 1 or horizon < min_n:
         raise ValueError(f"need 1 <= min_n <= horizon, got {min_n}, {horizon}")
@@ -194,40 +211,69 @@ def transition_times(system, cover, min_n, horizon, budget, seed=0):
         raise ValueError(f"need budget >= 1, got {budget}")
     m = cover.size
     d = cover.centers.shape[1]
+    span = horizon + 2
     unseen = horizon + 1
     X = np.full((m, m), unseen, dtype=np.int64)
-    witnesses = np.full((m, m, d), np.nan)
+    witnesses = np.full((m * m, d), np.nan)
 
     for orbit_idx in range(budget):
         rng = np.random.default_rng([seed, orbit_idx])
         orbit = dyn.orbit_points(system, rng.random(system.dim), horizon)
-        t_mem, b_mem = cover.members(orbit)
-        at = np.searchsorted(t_mem, np.arange(horizon + 2)).tolist()
-        balls = b_mem.tolist()
-        # Reverse-time sweep: nxt[i] is the first time >= t + min_n in ball
-        # i; best[j, i] the least transit from ball j to ball i, wit_t its
-        # earliest start.  The sentinel keeps nxt - t above the horizon.
-        nxt = np.full(m, 2 * horizon + 2, dtype=np.int64)
-        best = np.full((m, m), unseen, dtype=np.int64)
-        wit_t = np.zeros((m, m), dtype=np.int64)
-        for t in range(horizon - min_n, -1, -1):
-            s = t + min_n
-            if at[s] < at[s + 1]:
-                nxt[balls[at[s]:at[s + 1]]] = s
-            if at[t] == at[t + 1]:
-                continue
-            cand = nxt - t
-            for j in balls[at[t]:at[t + 1]]:
-                row = best[j]
-                hit = cand <= row
-                np.copyto(row, cand, where=hit)
-                np.copyto(wit_t[j], t, where=hit)
-        better = best.T < X
-        X[better] = best.T[better]
-        witnesses[better] = orbit[wit_t.T[better]]
+        key = _least_transit_keys(*cover.members(orbit), m, min_n, horizon).ravel()
+        # transit < X exactly when key < X * span; ties keep the earlier orbit
+        better = key < X.ravel() * span
+        key = key[better]
+        X.ravel()[better] = key // span
+        witnesses[better] = orbit[key % span]
     X[X == unseen] = -1
-    return TransitionTable(X=X, witnesses=witnesses, min_n=int(min_n),
-                           horizon=int(horizon), budget=int(budget), seed=int(seed))
+    return TransitionTable(X=X, witnesses=witnesses.reshape(m, m, d),
+                           min_n=int(min_n), horizon=int(horizon),
+                           budget=int(budget), seed=int(seed))
+
+
+def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
+    """Least transit from ball j into ball i on one orbit, as key[i, j].
+
+    The key packs transit * (horizon + 2) + start, so its minimum is the
+    least transit and, among equal transits, the earliest start; a pair
+    with no transit keeps (horizon + 1) * (horizon + 2).  L (see
+    ``transition_times``) is a running maximum over source times
+    u = s - min_n, built one block of rows at a time with the last row
+    carried to the next block.  Before its first visit L_j holds the
+    sentinel -(horizon + 1), so such a candidate has transit > horizon and
+    never beats the initial key.  A block's candidates are folded into
+    key[i] in rounds, the r-th hit of every ball in round r, so no index
+    repeats within a round.
+    """
+    span = horizon + 2
+    key = np.full((m, m), (horizon + 1) * span, dtype=np.int64)
+    last = np.full(m, -(horizon + 1), dtype=np.int32)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    sources = horizon - min_n + 1
+    for u0 in range(0, sources, rows):
+        u1 = min(u0 + rows, sources)
+        a, b = np.searchsorted(t_mem, [u0, u1])
+        L = np.full((u1 - u0, m), -(horizon + 1), dtype=np.int32)
+        L[t_mem[a:b] - u0, b_mem[a:b]] = t_mem[a:b]
+        np.maximum(L[0], last, out=L[0])
+        np.maximum.accumulate(L, axis=0, out=L)
+        last = L[-1].copy()
+
+        a, b = np.searchsorted(t_mem, [u0 + min_n, u1 + min_n])
+        s, i = t_mem[a:b], b_mem[a:b]
+        by_ball = np.argsort(i, kind="stable")
+        sorted_i = i[by_ball]
+        rank = np.arange(len(i)) - np.searchsorted(sorted_i, sorted_i)
+        order = by_ball[np.argsort(rank, kind="stable")]
+        bounds = np.cumsum(np.r_[0, np.bincount(rank)]).tolist()
+        s, i = s[order], i[order]
+        cand = np.multiply(L[s - (u0 + min_n)], -(horizon + 1), dtype=np.int64)
+        cand += (s * span)[:, None]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rnd, balls = cand[lo:hi], i[lo:hi]
+            np.minimum(rnd, key[balls], out=rnd)
+            key[balls] = rnd
+    return key
 
 
 @dataclass(frozen=True)
@@ -400,6 +446,12 @@ def approximate_invariant_measure(system, target, delta, budget, tol=1e-12,
     cover of the target support, shadows the splice, and returns the
     periodic measure of the solved cycle together with its weak-*
     distance to the target.
+
+    The distance need not fall as the budget grows: each budget cuts the
+    target differently and glues through its own cover, so the solved
+    cycles are not nested.  On the 20000-point cat orbit of
+    (0.04432299121099936, 0.4717689954978974), with the defaults and seed
+    0, budgets 1000, 3000 and 8000 give 0.04116, 0.04330 and 0.01289.
     """
     pts = target.points
     if budget < 2 * n_segments or budget >= len(pts):

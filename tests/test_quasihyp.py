@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.errors import DimensionMismatchError
@@ -47,6 +49,23 @@ def test_partition_gap_bound_exhaustive():
                 assert p.times[1] == k * K + q and p.q == q
                 assert p.gaps[-1] == k * K
                 assert all(g == K for g in p.gaps[1:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 5000))
+def test_partition_closed_form_property(K, k, extra):
+    n = 2 * k * K + extra
+    p = canonical_partition(n, k, K)
+    l, q = divmod(n, K)
+    if q == 0 and l - 1 >= 2 * k:
+        l, q = l - 1, K
+    assert n == l * K + q and (1 <= q <= K or n == 2 * k * K)
+    assert p.times[0] == 0 and p.times[-1] == n and p.m == l - 2 * k + 2
+    assert p.gaps[0] == k * K + q and p.gaps[-1] == k * K
+    assert all(g == K for g in p.gaps[1:-1])
+    assert p.max_gap <= (k + 1) * K
+    interior = [(k + i - 1) * K + q for i in range(1, p.m)]
+    assert list(p.times[1:-1]) == interior
 
 
 def test_partition_scheme_validation():

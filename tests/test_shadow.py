@@ -1,7 +1,12 @@
 """Pseudo-orbits, Newton shadowing, closing, and probe utilities."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.errors import ConvergenceError, PseudoOrbitFormatError
@@ -241,6 +246,30 @@ def test_file_roundtrip(cat, tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(back.segments, po.segments))
     write_pseudo_orbit(back, tmp_path / "po2.txt")
     assert (tmp_path / "po.txt").read_text() == (tmp_path / "po2.txt").read_text()
+
+
+_EDGE_VALUES = [0.0, float(np.nextafter(1.0, 0.0)), 5e-324, 1e-310,
+                float(np.nextafter(2.2250738585072014e-308, 0.0))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_file_roundtrip_bit_exact(data):
+    d = data.draw(st.integers(1, 3))
+    value = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(_EDGE_VALUES))
+    segments = [np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                            min_size=2, max_size=6)))
+                for _ in range(data.draw(st.integers(1, 4)))]
+    po = PseudoOrbit(segments=tuple(segments), periodic=data.draw(st.booleans()))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "po.txt"), Path(tmp, "po2.txt")
+        write_pseudo_orbit(po, first)
+        back = read_pseudo_orbit(first)
+        write_pseudo_orbit(back, second)
+        assert first.read_text() == second.read_text()
+    assert back.dim == d and back.periodic == po.periodic and back.delta == po.delta
+    assert len(back.segments) == len(segments)
+    assert all(np.array_equal(a, b) for a, b in zip(back.segments, segments))
 
 
 @pytest.mark.parametrize("text", [

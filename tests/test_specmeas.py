@@ -1,10 +1,13 @@
 """Covers, transition tables, orbit gluing, and weak-* measure distance."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pesinlab import specmeas
 from pesinlab import systems as dyn
 from pesinlab.errors import DimensionMismatchError, UnresolvedTransitionError
 from pesinlab.shadow import close_orbit
@@ -152,13 +155,15 @@ def _brute_transits(system, cover, min_n, horizon, budget, seed):
     return X, W
 
 
+# A dyadic rotation is exact in floats, so equal transits recur at many
+# start times and in every orbit: the earliest orbit and start must win.
+_ROTATION = dyn.make_system({"kind": "composite", "dim": 1,
+                             "map": ["(x0 + 0.125) % 1.0"], "jacobian": [["1.0"]]})
+
+
 def test_transition_sweep_matches_brute_force(cat):
-    # a dyadic rotation is exact in floats, so equal transits recur at many
-    # start times and in every orbit: the earliest orbit and start must win
-    rot = dyn.make_system({"kind": "composite", "dim": 1,
-                           "map": ["(x0 + 0.125) % 1.0"], "jacobian": [["1.0"]]})
     cases = [
-        (rot, Cover(centers=[[0.05], [0.3], [0.55], [0.61], [1.0]],
+        (_ROTATION, Cover(centers=[[0.05], [0.3], [0.55], [0.61], [1.0]],
                     radii=[0.06, 0.08, 0.04, 0.05, 0.02], mesh=0.2), 3, 60, 3, 4),
         (cat, build_cover(np.random.default_rng(8).random((60, 2)), 0.3), 3, 120, 3, 11),
         (cat, build_cover([[0.0, 0.0], [0.5, 0.5]], 0.2), 2, 200, 3, 1),
@@ -169,6 +174,50 @@ def test_transition_sweep_matches_brute_force(cat):
         assert np.array_equal(table.X, X)
         assert np.array_equal(table.witnesses, W, equal_nan=True)
         assert (X >= 0).any()
+
+
+def _check_blocked_table(system, cover, min_n, horizon, budget, seed, rows):
+    """transition_times with blocks of ``rows`` source times equals brute force."""
+    with mock.patch.object(specmeas, "_BLOCK_ENTRIES", rows * cover.size):
+        table = transition_times(system, cover, min_n, horizon, budget, seed=seed)
+    X, W = _brute_transits(system, cover, min_n, horizon, budget, seed)
+    assert np.array_equal(table.X, X)
+    assert np.array_equal(table.witnesses, W, equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_transition_blocks_match_brute_force(cat, data):
+    d = data.draw(st.sampled_from([1, 2]))
+    system = _ROTATION if d == 1 else cat
+    mesh = data.draw(st.floats(0.05, 0.6))
+    m = data.draw(st.integers(1, 6))
+    centers = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),
+                                 min_size=m, max_size=m))
+    fracs = data.draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+    cover = Cover(centers=centers, radii=np.array(fracs) * mesh / 2.0, mesh=mesh)
+    min_n = data.draw(st.integers(1, 8))
+    horizon = min_n + data.draw(st.one_of(st.just(0), st.integers(0, 40)))
+    budget = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rows = data.draw(st.sampled_from([1, 2, 3, 7, 10 ** 6]))
+    _check_blocked_table(system, cover, min_n, horizon, budget, seed, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_transition_blocks_edge_cases(cat, rows):
+    # a ball first visited after the first block, so its later transits
+    # need the carried row; a block with no hits; min_n = horizon
+    cover = Cover(centers=[[0.05], [0.3]], radii=[0.04, 0.04], mesh=0.1)
+    orbit = dyn.orbit_points(_ROTATION, np.random.default_rng([4, 0]).random(1), 40)
+    t_mem, b_mem = cover.members(orbit)
+    assert t_mem[b_mem == 1].min() >= rows
+    starts = np.arange(0, 40 - 3 + 1, rows) + 3
+    assert (np.searchsorted(t_mem, starts) == np.searchsorted(t_mem, starts + rows)).any()
+    _check_blocked_table(_ROTATION, cover, 3, 40, 2, 4, rows)
+    sampled = build_cover(np.random.default_rng(8).random((60, 2)), 0.3)
+    _check_blocked_table(cat, sampled, 5, 5, 3, 11, rows)
+    _check_blocked_table(cat, sampled, 7, 30, 3, 11, rows)
 
 
 def test_fixed_point_self_transit(cat):
