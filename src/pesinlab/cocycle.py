@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import systems as dyn
+from .systems import orthonormalize
 from .errors import (
     DegenerateSplittingError,
     DimensionMismatchError,
@@ -47,17 +48,6 @@ __all__ = [
 ]
 
 
-def orthonormalize(basis):
-    """Orthonormal basis with the same span; rejects rank-deficient input."""
-    b = np.atleast_2d(np.asarray(basis, dtype=float))
-    if b.shape[0] < b.shape[1]:
-        raise DimensionMismatchError(f"basis of shape {b.shape} has too many columns")
-    q, r = np.linalg.qr(b)
-    if np.any(np.abs(np.diag(r)) < 1e-12 * max(1.0, float(np.abs(b).max()))):
-        raise DegenerateSplittingError("basis is numerically rank deficient")
-    return q
-
-
 def operator_norm(jac, basis=None):
     """Largest singular value of ``jac`` restricted to the span of ``basis``."""
     jac = np.asarray(jac, dtype=float)
@@ -83,11 +73,27 @@ _PREFIX_BLOCK = 128
 
 
 def _sv(m, top):
-    """Largest (``top``) or smallest singular value over the last two axes."""
+    """Largest (``top``) or smallest singular value over the last two axes.
+
+    2x2 matrices [[a, b], [c, d]] use closed forms: the largest is s =
+    (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2, within 2 ulp, the smallest
+    |(a/s) d - (b/s) c|, within 3 eps s, and neither overflows where the
+    entries do not; a diagonal takes max/min(|a|, |d|) exactly (LAPACK is an
+    ulp off on ~5% of them).  LAPACK runs only for d >= 3.
+    """
     if m.shape[-1] == 1:
         return np.abs(m[..., 0, 0])
-    sv = np.linalg.svd(m, compute_uv=False)
-    return sv[..., 0] if top else sv[..., -1]
+    if m.shape[-1] > 2:
+        sv = np.linalg.svd(m, compute_uv=False)
+        return sv[..., 0] if top else sv[..., -1]
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    diag = (b == 0.0) & (c == 0.0)
+    s = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    if top:
+        return np.where(diag, np.maximum(np.abs(a), np.abs(d)), s)
+    with np.errstate(invalid="ignore"):  # 0/0 only for a zero matrix, which is diagonal
+        small = np.abs((a / s) * d - (b / s) * c)
+    return np.where(diag, np.minimum(np.abs(a), np.abs(d)), small)
 
 
 class OrbitData:
@@ -121,14 +127,10 @@ class OrbitData:
             back = dyn.orbit_many_back(system, xs, self.n_back)
             pieces.append((slice(0, self.n_back), back[:0:-1]))  # times -n_back..-1
 
-        self._r = {}
-        bundles = {}
-        for name, basis in (("e", splitting.e_basis), ("f", splitting.f_basis)):
-            b = orthonormalize(basis)
-            c = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
-            bundles[name] = b, c
-            self._r[name] = np.empty((self.n_back + self.n_fwd, self.batch)
-                                     + (b.shape[1],) * 2)
+        bundles = splitting._frames
+        self._r = {name: np.empty((self.n_back + self.n_fwd, self.batch)
+                                  + (b.shape[1],) * 2)
+                   for name, (b, _) in bundles.items()}
         defect = scale = 0.0
         for rows, at in pieces:
             if not len(at):
@@ -148,7 +150,8 @@ class OrbitData:
         """Restricted log norms over windows [t, t+K) at each start time t.
 
         Bundle 'e' gives log ||Df^K|E||, bundle 'f' gives log m(Df^K|F), from
-        the product R(t+K-1)...R(t).  Shape (len(starts), batch).
+        the product R(t+K-1)...R(t).  Shape (len(starts), batch).  A window
+        whose product vanishes or overflows raises SingularRestrictionError.
         """
         if bundle not in ("e", "f"):
             raise ValueError(f"bundle must be 'e' or 'f', got {bundle!r}")
@@ -160,9 +163,16 @@ class OrbitData:
         r = self._r[bundle]
         idx = starts + self.n_back
         m = r[idx]
-        for s in range(1, K):
-            m = r[idx + s] @ m
-        return np.log(_sv(m, top=bundle == "e"))
+        with np.errstate(all="ignore"):  # a non-finite log raises below
+            for s in range(1, K):
+                m = r[idx + s] @ m
+            logs = np.log(_sv(m, top=bundle == "e"))
+        finite = np.isfinite(logs)
+        if not finite.all():
+            t = int(starts[~finite.all(axis=1)][0])
+            raise SingularRestrictionError(
+                f"restricted product vanished or overflowed on the window [{t}, {t + K})")
+        return logs
 
     def full_e_logs(self, n_max):
         """(n_max+1, batch) array of log ||Df^n|E(x)|| for n = 0..n_max."""
@@ -176,30 +186,59 @@ class OrbitData:
         """Log norms of R(n-1)...R(0) from one running product, rescaled to
         max-abs 1 at each step.  The largest singular value of a rescaled
         product is at least 1; a smallest one below the least normal float
-        has lost its bits, and the caller must shorten the horizon.
+        has lost its bits, and the caller must shorten the horizon.  A 1x1
+        rescaled product is +-1, so its logs are the prefix sums alone.
         """
         if not 0 <= n_max <= self.n_fwd:
             raise ValueError(f"n_max must lie in [0, {self.n_fwd}], got {n_max}")
-        r = self._r[bundle][self.n_back:]
-        dim = r.shape[-1]
-        mats = np.empty((n_max + 1, self.batch, dim, dim))
-        mats[0] = np.eye(dim)
-        mags = np.empty((n_max, self.batch))
-        for n in range(n_max):
-            m = r[n] @ mats[n]
-            mag = np.abs(m).max(axis=(-2, -1))
-            if np.any(mag == 0.0):
+        r = self._r[bundle][self.n_back:self.n_back + n_max]
+        if r.shape[-1] == 1:
+            mags = np.abs(r[..., 0, 0])
+            if np.any(mags == 0.0):
                 raise SingularRestrictionError("restricted product vanished")
-            np.divide(m, mag[:, None, None], out=mats[n + 1])
-            mags[n] = mag
-        sv = _sv(mats, top=bundle == "e")
-        if np.any(sv < np.finfo(float).tiny):
-            raise SingularRestrictionError(
-                f"restricted product over {n_max} steps underflows the float "
-                "range; use a shorter horizon")
-        scale = np.zeros((n_max + 1, self.batch))
-        scale[1:] = _prefix_sum(np.log(mags))
-        return scale + np.log(sv)
+            logs = np.zeros((n_max + 1, self.batch))
+        else:
+            mats, mags = _rescaled_products(r)
+            sv = _sv(mats, top=bundle == "e")
+            if np.any(sv < np.finfo(float).tiny):
+                raise SingularRestrictionError(
+                    f"restricted product over {n_max} steps underflows the float "
+                    "range; use a shorter horizon")
+            logs = np.log(sv)
+        logs[1:] += _prefix_sum(np.log(mags))
+        return logs
+
+
+def _rescaled_products(r):
+    """Running products R(n-1)...R(0), n = 0..len(r), each divided by its
+    max-abs entry, and those divisors.  A 2x2 bundle along one orbit runs in
+    plain floats, where numpy's per-call overhead outweighs a 2x2 product.
+    """
+    n, batch, dim = r.shape[0], r.shape[1], r.shape[-1]
+    if dim == 2 and batch == 1:
+        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+        prods, mags = [(p00, p01, p10, p11)], []
+        for (a, b), (c, d) in r[:, 0].tolist():
+            m00, m01 = a * p00 + b * p10, a * p01 + b * p11
+            m10, m11 = c * p00 + d * p10, c * p01 + d * p11
+            mag = max(abs(m00), abs(m01), abs(m10), abs(m11))
+            if mag == 0.0:
+                raise SingularRestrictionError("restricted product vanished")
+            p00, p01, p10, p11 = m00 / mag, m01 / mag, m10 / mag, m11 / mag
+            prods.append((p00, p01, p10, p11))
+            mags.append(mag)
+        return np.array(prods).reshape(n + 1, 1, 2, 2), np.array(mags).reshape(n, 1)
+    mats = np.empty((n + 1, batch, dim, dim))
+    mats[0] = np.eye(dim)
+    mags = np.empty((n, batch))
+    for t in range(n):
+        m = r[t] @ mats[t]
+        mag = np.abs(m).max(axis=(-2, -1))
+        if np.any(mag == 0.0):
+            raise SingularRestrictionError("restricted product vanished")
+        np.divide(m, mag[:, None, None], out=mats[t + 1])
+        mags[t] = mag
+    return mats, mags
 
 
 def _prefix_sum(a):

@@ -20,6 +20,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
 
 __all__ = [
     "Splitting",
+    "orthonormalize",
     "TorusMap",
     "CatMap",
     "CircleG",
@@ -576,6 +578,7 @@ class Splitting:
             raise DegenerateSplittingError("zero basis vector in splitting")
         e = e / norms_e
         f = f / norms_f
+        e.flags.writeable = f.flags.writeable = False  # _frames caches their QRs
         if np.linalg.matrix_rank(np.hstack([e, f])) != d:
             raise DegenerateSplittingError("E and F are not transverse")
         object.__setattr__(self, "e_basis", e)
@@ -592,6 +595,32 @@ class Splitting:
     @property
     def dim_f(self):
         return self.f_basis.shape[1]
+
+    @cached_property
+    def _frames(self):
+        """{'e': (B, C), 'f': (B, C)}: an orthonormal basis B of the bundle
+        and one C of its orthogonal complement, read-only and computed once
+        per splitting.  Raises DegenerateSplittingError for a numerically
+        rank-deficient bundle basis (not cached, so every access raises).
+        """
+        frames = {}
+        for name, basis in (("e", self.e_basis), ("f", self.f_basis)):
+            b = orthonormalize(basis)
+            c = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
+            b.flags.writeable = c.flags.writeable = False
+            frames[name] = b, c
+        return frames
+
+
+def orthonormalize(basis):
+    """Orthonormal basis with the same span; rejects rank-deficient input."""
+    b = np.atleast_2d(np.asarray(basis, dtype=float))
+    if b.shape[0] < b.shape[1]:
+        raise DimensionMismatchError(f"basis of shape {b.shape} has too many columns")
+    q, r = np.linalg.qr(b)
+    if np.any(np.abs(np.diag(r)) < 1e-12 * max(1.0, float(np.abs(b).max()))):
+        raise DegenerateSplittingError("basis is numerically rank deficient")
+    return q
 
 
 def reference_splitting(system, p=None):

@@ -208,6 +208,27 @@ def test_underflowing_restricted_product_exits_1(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_vanishing_window_product_exits_1(tmp_path, capsys):
+    # Df on E (the x1 axis) is x1, which is 0 along the orbit of (0.1, 0):
+    # every block norm on E is log 0, a numerical failure
+    system = {
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0) % 1.0", "(0.5*x1*x1) % 1.0"],
+        "jacobian": [["2", "0"], ["0", "x1"]],
+        "e_basis": [[0.0], [1.0]], "f_basis": [[1.0], [0.0]],
+    }
+    cfg = tmp_path / "vanish.json"
+    cfg.write_text(json.dumps({"system": system}))
+    po = make_pseudo_orbit(dyn.make_system(system), [np.array([0.1, 0.0])], [10],
+                           periodic=False)
+    path = tmp_path / "vanish.txt"
+    write_pseudo_orbit(po, path)
+    rc = main(["qh-check", "--config", str(cfg), "--file", str(path), "--zeta", "0.4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "vanished" in err
+
+
 def test_composite_formula_injection_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "evil.json"

@@ -1,13 +1,17 @@
 """Restricted-norm cocycle evaluation: oracles and spec invariants."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.cocycle import (
     _prefix_sum,
+    _sv,
     OrbitData,
     alpha_constant,
     angle_report,
@@ -23,6 +27,7 @@ from pesinlab.cocycle import (
     upgrade_limit_domination,
 )
 from pesinlab.errors import DegenerateSplittingError, SingularRestrictionError
+from pesinlab.quasihyp import canonical_partition, check_quasi_hyperbolic
 
 from conftest import LOG2, LOG_3P5, LOG_U
 
@@ -367,3 +372,231 @@ def test_mean_exponents_many_matches_single(p24, p24_split):
     solo = mean_exponents(p24, xs[2], p24_split, K=2, horizon=30)
     assert reps[2].limdom_hat == solo.limdom_hat
     assert reps[2].lambda_sup_s_hat == solo.lambda_sup_s_hat
+
+
+def _sv_exact(m):
+    """Largest and smallest singular value of each 2x2 matrix, from the
+    closed form evaluated in 50-digit decimal arithmetic."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for (a, b), (c, d) in m.tolist():
+            a, b, c, d = map(Decimal, (a, b, c, d))
+            top = (((a + d) ** 2 + (b - c) ** 2).sqrt()
+                   + ((a - d) ** 2 + (b + c) ** 2).sqrt()) / 2
+            out.append((top, abs(a * d - b * c) / top if top else Decimal(0)))
+    return out
+
+
+_EPS = np.finfo(float).eps
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+_unit = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+def _stack(entries, scale=1.0):
+    return st.lists(entries, min_size=1, max_size=6).map(
+        lambda ms: np.array(ms, dtype=float).reshape(-1, 2, 2) * scale)
+
+
+_random_2x2 = st.tuples(*[_unit] * 4)
+_near_singular_2x2 = st.builds(
+    lambda u0, u1, v0, v1, k, e: tuple(
+        np.outer([u0, u1], [v0, v1]).ravel() + 10.0 ** k * np.array(e)),
+    _unit, _unit, _unit, _unit, st.integers(-17, -8), st.tuples(*[_unit] * 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _stack(_random_2x2),
+    st.integers(-300, 300).flatmap(lambda k: _stack(_random_2x2, 10.0 ** k)),
+    _stack(_near_singular_2x2),
+    st.integers(-300, 300).flatmap(lambda k: _stack(_near_singular_2x2, 10.0 ** k)),
+))
+def test_sv_closed_form_2x2(m):
+    # against the decimal value: the largest within 4 ulp, the smallest
+    # within 4 eps times the largest (plus 4 subnormal steps, the absolute
+    # spacing of floats below the normal range); LAPACK's own error on 2x2
+    # input reaches 8 ulp of the largest, so against np.linalg.svd the
+    # allowance adds that
+    top, low = _sv(m, top=True), _sv(m, top=False)
+    lapack = np.linalg.svd(m, compute_uv=False)
+    for i, (ref_top, ref_low) in enumerate(_sv_exact(m)):
+        ulp = np.spacing(float(ref_top))
+        low_tol = 4 * _EPS * float(ref_top) + 4 * _SUBNORMAL
+        assert abs(Decimal(float(top[i])) - ref_top) <= 4 * Decimal(float(ulp))
+        assert abs(Decimal(float(low[i])) - ref_low) <= Decimal(low_tol)
+        assert abs(top[i] - lapack[i, 0]) <= 12 * ulp
+        assert abs(low[i] - lapack[i, 1]) <= 2 * low_tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                min_size=1, max_size=6))
+def test_sv_diagonal_exact(diagonals):
+    a, d = np.array(diagonals).T
+    m = np.zeros((len(a), 2, 2))
+    m[:, 0, 0], m[:, 1, 1] = a, d
+    assert np.array_equal(_sv(m, top=True), np.maximum(np.abs(a), np.abs(d)))
+    assert np.array_equal(_sv(m, top=False), np.minimum(np.abs(a), np.abs(d)))
+
+
+def _full_logs_loop(data, bundle, n_max):
+    """The per-step loop that OrbitData._full_logs replaced, kept as its
+    oracle: one numpy product, max-abs rescale and zero check per step, and
+    LAPACK singular values (the absolute value for 1x1 bundles)."""
+    r = data._r[bundle][data.n_back:]
+    dim = r.shape[-1]
+    mats = np.empty((n_max + 1, data.batch, dim, dim))
+    mats[0] = np.eye(dim)
+    mags = np.empty((n_max, data.batch))
+    for n in range(n_max):
+        m = r[n] @ mats[n]
+        mag = np.abs(m).max(axis=(-2, -1))
+        if np.any(mag == 0.0):
+            raise SingularRestrictionError("restricted product vanished")
+        np.divide(m, mag[:, None, None], out=mats[n + 1])
+        mags[n] = mag
+    if dim == 1:
+        sv = np.abs(mats[..., 0, 0])
+    else:
+        sv = np.linalg.svd(mats, compute_uv=False)[..., 0 if bundle == "e" else -1]
+    scale = np.zeros((n_max + 1, data.batch))
+    scale[1:] = _prefix_sum(np.log(mags))
+    return scale + np.log(sv)
+
+
+def _full(data, bundle, n_max):
+    return data.full_e_logs(n_max) if bundle == "e" else data.full_f_logs(n_max)
+
+
+@pytest.mark.parametrize("name,bundle", [("cat", "e"), ("cat", "f"), ("product24", "f")])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_full_logs_1x1_matches_loop(name, bundle, batch):
+    system = dyn.make_system(name)
+    split = dyn.reference_splitting(system)
+    xs = np.random.default_rng(11).random((batch, system.dim))
+    data = OrbitData(system, xs, split, n_fwd=300, n_back=7)
+    for n_max in (0, 1, 128, 300):
+        assert np.array_equal(_full(data, bundle, n_max),
+                              _full_logs_loop(data, bundle, n_max))
+
+
+def _rotated_p24_split(theta):
+    # the same E plane as the reference splitting, in a basis turned by
+    # theta, so that R_E is a full 2x2 matrix
+    split = dyn.reference_splitting(dyn.make_system("product24"))
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    return dyn.Splitting(split.e_basis @ rot, split.f_basis)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.1])
+def test_full_logs_single_start_2x2_matches_batch(p24, theta):
+    split = _rotated_p24_split(theta)
+    for x in np.random.default_rng(12).random((4, 3)):
+        one = OrbitData(p24, x, split, n_fwd=400)
+        two = OrbitData(p24, np.vstack([x, x]), split, n_fwd=400)
+        for bundle in ("e", "f"):
+            solo, pair = _full(one, bundle, 400)[:, 0], _full(two, bundle, 400)
+            assert np.array_equal(pair[:, 0], pair[:, 1])
+            if theta == 0.0:   # diagonal factors
+                assert np.array_equal(solo, pair[:, 0])
+            else:
+                ulps = np.abs(solo - pair[:, 0]) / np.spacing(np.abs(pair[:, 0]))
+                assert ulps.max() <= 4
+            # the 2x2 path also matches the per-step LAPACK loop
+            assert np.allclose(solo, _full_logs_loop(one, bundle, 400)[:, 0],
+                               rtol=1e-14, atol=1e-13)
+
+
+def test_mean_exponents_many_matches_single_starts(p24, p24_split):
+    xs = np.random.default_rng(13).random((8, 3))
+    reps = mean_exponents_many(p24, xs, p24_split, K=3, horizon=200)
+    for x, rep in zip(xs, reps):
+        solo = mean_exponents(p24, x, p24_split, K=3, horizon=200).to_dict()
+        for key, value in rep.to_dict().items():
+            assert abs(value - solo[key]) <= 1e-15, key
+
+
+def _vanishing(dim):
+    # x0 doubles (F); every other coordinate maps x -> x^2 / 2, whose
+    # derivative vanishes at 0, so at x = (0.1, 0, ...) the E product is 0
+    return dyn.make_system({
+        "kind": "composite", "dim": dim,
+        "map": ["(2*x0) % 1.0"] + [f"(0.5*x{i}*x{i}) % 1.0" for i in range(1, dim)],
+        "jacobian": [["2" if j == 0 else "0" for j in range(dim)]] + [
+            [f"x{i}" if j == i else "0" for j in range(dim)] for i in range(1, dim)],
+        "e_basis": np.eye(dim)[:, 1:].tolist(),
+        "f_basis": np.eye(dim)[:, :1].tolist(),
+    })
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])   # E is 1x1, 2x2 and 3x3
+@pytest.mark.parametrize("batch", [1, 2])
+def test_full_logs_zero_guard_every_path(dim, batch):
+    system = _vanishing(dim)
+    x = np.zeros(dim)
+    x[0] = 0.1
+    data = OrbitData(system, np.tile(x, (batch, 1)), system.splitting, n_fwd=5)
+    assert np.all(np.isfinite(data.full_f_logs(5)))
+    with pytest.raises(SingularRestrictionError, match="vanished"):
+        data.full_e_logs(5)
+    with pytest.raises(SingularRestrictionError, match="vanished"):
+        _full_logs_loop(data, "e", 5)
+    with pytest.raises(SingularRestrictionError, match=r"on the window \[0, 1\)"):
+        data.block_logs("e", [0, 1], 1)
+
+
+def test_full_logs_underflow_guard_batched():
+    # test_full_products_underflow_guard's 2-D F bundle, two starts at once
+    diag = dyn.make_system({
+        "kind": "composite", "dim": 3,
+        "map": ["(0.5*x0) % 1.0", "(4*x1) % 1.0", "(1.1*x2) % 1.0"],
+        "jacobian": [["0.5", "0", "0"], ["0", "4", "0"], ["0", "0", "1.1"]],
+        "e_basis": [[1.0], [0.0], [0.0]],
+        "f_basis": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    })
+    xs = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    data = OrbitData(diag, xs, diag.splitting, n_fwd=560)
+    assert data.full_f_logs(500)[-1] == pytest.approx(500 * math.log(1.1), abs=1e-10)
+    with pytest.raises(SingularRestrictionError, match="underflows"):
+        data.full_f_logs(560)
+
+
+def test_block_logs_raise_when_a_window_product_vanishes():
+    # E is the x1 axis, where Df = x1 = 0; every window product on E is 0
+    system = _vanishing(2)
+    x = np.array([0.1, 0.0])
+    with pytest.raises(SingularRestrictionError, match="vanished"):
+        log_norm_blocks(system, x, system.splitting, "e", K=1, l=3, r=0)
+    with pytest.raises(SingularRestrictionError, match="vanished"):
+        check_quasi_hyperbolic(system, x, 10, system.splitting, 0.4,
+                               canonical_partition(10, 2, 1))
+    assert log_norm_blocks(system, x, system.splitting, "f", K=2, l=2, r=1) == \
+        pytest.approx([math.log(2.0), 2 * math.log(2.0), 2 * math.log(2.0)])
+
+
+def test_block_logs_raise_when_a_window_product_overflows(p24, p24_split):
+    # at fiber 1/2 both the circle and the cat direction expand by
+    # (3 + sqrt5)/2 a step: 800 steps leave the float range on E (2x2) and F
+    data = OrbitData(p24, np.array([0.5, 0.3, 0.7]), p24_split, n_fwd=800)
+    assert np.allclose(data.block_logs("f", [0], 700), 700 * LOG_U, rtol=1e-13)
+    for bundle in ("e", "f"):
+        with pytest.raises(SingularRestrictionError, match=r"overflowed on the window \[0, 800\)"):
+            data.block_logs(bundle, [0], 800)
+
+
+def test_splitting_frames_computed_once(p24_split):
+    frames = p24_split._frames
+    assert p24_split._frames is frames
+    assert not p24_split.e_basis.flags.writeable and not p24_split.f_basis.flags.writeable
+    for b, c in frames.values():
+        assert not b.flags.writeable and not c.flags.writeable
+        assert np.allclose(np.hstack([b, c]).T @ np.hstack([b, c]), np.eye(3), atol=1e-15)
+    # two columns 1e-13 apart pass the splitting's rank test but not
+    # orthonormalize's; every OrbitData built on it raises
+    e = np.array([[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0]])
+    near = dyn.Splitting(e, np.array([[0.0], [0.0], [1.0]]))
+    for _ in range(2):
+        with pytest.raises(DegenerateSplittingError, match="rank deficient"):
+            OrbitData(dyn.make_system("product24"), np.zeros(3), near, n_fwd=3)
