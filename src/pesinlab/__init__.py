@@ -48,19 +48,15 @@ from .systems import (  # noqa: E402
     wrap,
 )
 from .cocycle import (  # noqa: E402
-    AngleReport,
     LyapunovSpectrum,
     MeanExponentReport,
     OrbitData,
     alpha_constant,
-    angle_report,
     domination_upgrade_n0,
     log_norm_blocks,
     lyapunov_spectrum,
     mean_exponents,
     mean_exponents_many,
-    minimal_norm,
-    operator_norm,
     subbundle_angle,
     upgrade_limit_domination,
 )
@@ -90,7 +86,6 @@ from .shadow import (  # noqa: E402
     ShadowResult,
     ShadowingConstants,
     close_orbit,
-    cumulative_times,
     estimate_shadowing_constant,
     make_pseudo_orbit,
     periodic_density_probe,
@@ -117,7 +112,6 @@ from .specmeas import (  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleReport",
     "BlockCertificate",
     "BlockGeometry",
     "CatMap",
@@ -151,7 +145,6 @@ __all__ = [
     "UnresolvedTransitionError",
     "UnsupportedSystemError",
     "alpha_constant",
-    "angle_report",
     "approximate_invariant_measure",
     "block_geometry_product24",
     "budget_from_inputs",
@@ -162,7 +155,6 @@ __all__ = [
     "check_qh_pseudo_orbit",
     "check_quasi_hyperbolic",
     "close_orbit",
-    "cumulative_times",
     "domination_upgrade_n0",
     "estimate_shadowing_constant",
     "glue_segments",
@@ -176,8 +168,6 @@ __all__ = [
     "measure_csv",
     "min_block_index",
     "min_block_scan_product24",
-    "minimal_norm",
-    "operator_norm",
     "orbit_points",
     "orbit_points_back",
     "periodic_density_probe",

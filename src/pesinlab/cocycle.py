@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import systems as dyn
-from .systems import orthonormalize
 from .errors import (
     DegenerateSplittingError,
     DimensionMismatchError,
@@ -29,9 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "orthonormalize",
-    "operator_norm",
-    "minimal_norm",
     "OrbitData",
     "log_norm_blocks",
     "MeanExponentReport",
@@ -40,29 +35,10 @@ __all__ = [
     "LyapunovSpectrum",
     "lyapunov_spectrum",
     "subbundle_angle",
-    "AngleReport",
-    "angle_report",
     "alpha_constant",
     "upgrade_limit_domination",
     "domination_upgrade_n0",
 ]
-
-
-def operator_norm(jac, basis=None):
-    """Largest singular value of ``jac`` restricted to the span of ``basis``."""
-    jac = np.asarray(jac, dtype=float)
-    m = jac if basis is None else jac @ orthonormalize(basis)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def minimal_norm(jac, basis=None):
-    """Smallest singular value of ``jac`` restricted to the span of ``basis``.
-
-    For an invertible restriction this equals 1 / ||(jac|_V)^{-1}||.
-    """
-    jac = np.asarray(jac, dtype=float)
-    m = jac if basis is None else jac @ orthonormalize(basis)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 # Largest invariance defect max |C^T Df B| accepted, relative to the largest
@@ -444,42 +420,45 @@ def _chord(theta):
     return 2.0 * math.sin(0.5 * theta)
 
 
+def _orth(a):
+    """Orthonormal basis of the column span of ``a`` from its SVD, dropping
+    singular values at most eps * max(a.shape) times the largest.  Returned
+    in Fortran order, as scipy.linalg.orth does: a BLAS product rounds by
+    its operands' layout, and this one gives scipy's bits.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > np.finfo(float).eps * max(a.shape) * s.max(initial=0.0)))
+    return np.asfortranarray(u[:, :rank])
+
+
+def _principal_angles(a, b):
+    """Principal angles between the column spans of ``a`` and ``b``, descending.
+
+    Knyazev and Argentati (SIAM J. Sci. Comput. 23, 2002), as in
+    scipy.linalg.subspace_angles: cosines are the singular values of
+    Qa^T Qb; where cos^2 >= 1/2 the angle is taken instead from the sines,
+    the singular values of the part of one basis orthogonal to the other,
+    which keep the bits of small angles.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("subspace bases must be finite")
+    qa, qb = _orth(a), _orth(b)
+    c = qa.T @ qb
+    cos = np.linalg.svd(c, compute_uv=False)
+    rest = qb - qa @ c if qa.shape[1] >= qb.shape[1] else qa - qb @ c.T
+    sin = np.linalg.svd(rest, compute_uv=False)
+    return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
+                    np.arccos(np.clip(cos[::-1], -1.0, 1.0)))
+
+
 def subbundle_angle(splitting):
     """inf over unit u in E, v in F of |u - v|, via the smallest principal angle."""
-    angles = scipy.linalg.subspace_angles(splitting.e_basis, splitting.f_basis)
+    angles = _principal_angles(splitting.e_basis, splitting.f_basis)
     theta_min = float(angles[-1])  # angles come back in descending order
     if theta_min < 1e-9:
         raise DegenerateSplittingError(
             f"sub-bundles intersect (principal angle {theta_min:.3e})")
     return _chord(theta_min)
-
-
-@dataclass(frozen=True)
-class AngleReport:
-    """Splitting angles sampled along an orbit at multiples of the step S."""
-
-    angles: tuple
-    tail_infimum: tuple  # tail_infimum[i] = min(angles[i:])
-    e0_hat: float        # infimum over the tail half-window
-    step: int
-
-    def to_dict(self):
-        return {"angles": list(self.angles), "tail_infimum": list(self.tail_infimum),
-                "e0_hat": self.e0_hat, "step": self.step}
-
-
-def angle_report(system, x, splitting, S, samples):
-    """Angle profile along the orbit of x at times 0, S, 2S, ...
-
-    The splitting is a constant field in coordinates, so the profile is flat;
-    the report still carries the samples so downstream summaries have one shape.
-    """
-    if S < 1 or samples < 2:
-        raise ValueError(f"need S >= 1 and samples >= 2, got S={S}, samples={samples}")
-    dyn.as_point(x, system.dim)  # validates the point against the system
-    chord = subbundle_angle(splitting)
-    angles = (chord,) * samples
-    return AngleReport(angles, angles, chord, S)
 
 
 def alpha_constant(system, points):

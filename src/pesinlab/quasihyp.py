@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from . import systems as dyn
-from .cocycle import OrbitData, _chord
+from .cocycle import OrbitData, _chord, _principal_angles
 from .errors import DimensionMismatchError
 
 __all__ = [
@@ -232,5 +231,5 @@ def subspace_gap(image_basis, target_basis):
     if u.shape != v.shape:
         raise DimensionMismatchError(
             f"subspace bases must match in shape, got {u.shape} and {v.shape}")
-    theta = subspace_angles(u, v)
+    theta = _principal_angles(u, v)
     return float(_chord(theta[0])) if theta.size else 0.0

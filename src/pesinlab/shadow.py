@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from . import systems as dyn
 from ._serialize import fmt_float
@@ -27,7 +25,6 @@ __all__ = [
     "make_pseudo_orbit",
     "read_pseudo_orbit",
     "write_pseudo_orbit",
-    "cumulative_times",
     "segment_deviations",
     "verify_shadowing",
     "ShadowResult",
@@ -199,22 +196,6 @@ def read_pseudo_orbit(path):
     return PseudoOrbit(segments=tuple(segments), periodic=periodic, delta=delta)
 
 
-def cumulative_times(n_list, i):
-    """Signed cumulative step count c_i of a window of segment lengths.
-
-    c_0 = 0; positive i sums the first i lengths; negative i sums the last
-    |i| lengths with a minus sign (Python-style window indexing).
-    """
-    seq = [int(n) for n in n_list]
-    if any(n < 1 for n in seq):
-        raise ValueError(f"segment lengths must be >= 1, got {seq}")
-    if i == 0:
-        return 0
-    if i > len(seq) or i < -len(seq):
-        raise ValueError(f"index {i} outside window of {len(seq)} segments")
-    return sum(seq[:i]) if i > 0 else -sum(seq[i:])
-
-
 def segment_deviations(points, pseudo):
     """Worst rho(points[(c_i + j) mod len(points)], point j of segment i).
 
@@ -283,6 +264,8 @@ def _residual(system, z, nxt):
 def _newton_matrix(system, z, nxt):
     """Sparse linearized orbit equation at z: block row j holds -Df(z_j) in
     column j and I in column nxt[j] (both in column 0 for a 1-point cycle)."""
+    from scipy import sparse  # here, not at module level: scipy's import time
+
     p, d = len(nxt), z.shape[1]
     data = np.empty((p, 2, d, d))
     data[:, 0] = -system.jacobian_many(z[:p])
@@ -301,6 +284,8 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     ConvergenceError (with diagnostics attached) when the residual fails to
     reach tol; nothing is returned in that case.
     """
+    from scipy.sparse.linalg import spsolve  # here, not at module level: scipy's import time
+
     if pseudo.total_length > _MAX_TOTAL:
         raise ValueError(f"window too long: {pseudo.total_length} > {_MAX_TOTAL}")
     if system.dim != pseudo.dim:

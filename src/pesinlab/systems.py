@@ -19,8 +19,7 @@ import ast
 import bisect
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,8 +43,6 @@ __all__ = [
     "wrap",
     "torus_diff",
     "torus_distance",
-    "step",
-    "inverse_step",
     "orbit_points",
     "reference_splitting",
 ]
@@ -277,9 +274,6 @@ class TorusMap:
             raise DimensionMismatchError(
                 f"{self.name} expects dimension {self.dim}, got {pts.shape[-1]}")
         return pts
-
-    def describe(self):
-        return {"name": self.name, "dim": self.dim}
 
 
 class CatMap(TorusMap):
@@ -557,11 +551,15 @@ class Splitting:
     """A direct-sum splitting E + F of the tangent space, unit basis columns.
 
     ``e_basis`` is (d, dim E), ``f_basis`` is (d, dim F) with
-    dim E + dim F = d and E, F transverse.
+    dim E + dim F = d and E, F transverse.  ``_frames`` maps 'e' and 'f' to
+    (B, C): an orthonormal basis B of the bundle and one C of its orthogonal
+    complement, read-only.  A numerically rank-deficient bundle basis raises
+    DegenerateSplittingError here, from orthonormalize.
     """
 
     e_basis: np.ndarray
     f_basis: np.ndarray
+    _frames: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.atleast_2d(np.asarray(self.e_basis, dtype=float))
@@ -578,11 +576,18 @@ class Splitting:
             raise DegenerateSplittingError("zero basis vector in splitting")
         e = e / norms_e
         f = f / norms_f
-        e.flags.writeable = f.flags.writeable = False  # _frames caches their QRs
+        e.flags.writeable = f.flags.writeable = False  # _frames holds their QRs
         if np.linalg.matrix_rank(np.hstack([e, f])) != d:
             raise DegenerateSplittingError("E and F are not transverse")
+        frames = {}
+        for name, basis in (("e", e), ("f", f)):
+            b = orthonormalize(basis)
+            c = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
+            b.flags.writeable = c.flags.writeable = False
+            frames[name] = b, c
         object.__setattr__(self, "e_basis", e)
         object.__setattr__(self, "f_basis", f)
+        object.__setattr__(self, "_frames", frames)
 
     @property
     def dim(self):
@@ -596,21 +601,6 @@ class Splitting:
     def dim_f(self):
         return self.f_basis.shape[1]
 
-    @cached_property
-    def _frames(self):
-        """{'e': (B, C), 'f': (B, C)}: an orthonormal basis B of the bundle
-        and one C of its orthogonal complement, read-only and computed once
-        per splitting.  Raises DegenerateSplittingError for a numerically
-        rank-deficient bundle basis (not cached, so every access raises).
-        """
-        frames = {}
-        for name, basis in (("e", self.e_basis), ("f", self.f_basis)):
-            b = orthonormalize(basis)
-            c = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
-            b.flags.writeable = c.flags.writeable = False
-            frames[name] = b, c
-        return frames
-
 
 def orthonormalize(basis):
     """Orthonormal basis with the same span; rejects rank-deficient input."""
@@ -623,12 +613,9 @@ def orthonormalize(basis):
     return q
 
 
-def reference_splitting(system, p=None):
-    """The natural invariant splitting of a builtin hyperbolic system.
-
-    Constant in coordinates for both supported systems, so ``p`` is accepted
-    only for interface uniformity.
-    """
+def reference_splitting(system):
+    """The natural invariant splitting of a builtin hyperbolic system, or the
+    one a composite system's config pins; constant in coordinates."""
     if isinstance(system, CatMap):
         e = np.array([[(1.0 - _SQRT5) / 2.0], [1.0]])
         f = np.array([[1.0], [(_SQRT5 - 1.0) / 2.0]])
@@ -681,11 +668,3 @@ def _orbit_many(system, starts, n, orbit, step_many):
     for t in range(n):
         out[t + 1] = step_many(out[t])
     return out
-
-
-def step(system, p):
-    return system.step(as_point(p, system.dim))
-
-
-def inverse_step(system, p):
-    return system.inverse_step(as_point(p, system.dim))

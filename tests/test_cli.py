@@ -191,6 +191,22 @@ def test_classify_rejects_non_invariant_splitting(tmp_path, capsys):
     assert "not Df-invariant" in capsys.readouterr().err
 
 
+def test_rank_deficient_bundle_basis_exits_2(tmp_path, capsys):
+    # E columns 1e-13 apart pass the transversality test but not
+    # orthonormalize's, so building the system rejects the config, even
+    # for a command that never reads the splitting
+    cfg = tmp_path / "near.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 3,
+        "map": ["(0.5*x0) % 1.0", "(4*x1) % 1.0", "(2*x2) % 1.0"],
+        "jacobian": [["0.5", "0", "0"], ["0", "4", "0"], ["0", "0", "2"]],
+        "e_basis": [[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0]],
+        "f_basis": [[0.0], [0.0], [1.0]],
+    }, "point": "0.1,0.2,0.3"}))
+    assert main(["exponents", "--config", str(cfg), "--horizon", "100"]) == 2
+    assert "rank deficient" in capsys.readouterr().err
+
+
 def test_underflowing_restricted_product_exits_1(tmp_path, capsys):
     # F is a 2-D bundle at rates 4 and 1.1: after 560 steps the rescaled
     # minimal direction is subnormal, a numerical failure, not bad input
@@ -281,19 +297,49 @@ def _console_script_target():
     return entry.split(":")
 
 
-def test_console_script_roundtrip():
-    # Run the entry point as the generated wrapper does, with the package
-    # imported from where this test imported it, so no install is needed.
-    module, func = _console_script_target()
-    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+def _source_env():
+    """Environment for a child process that imports pesinlab from where
+    this test imported it, so no install is needed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pesinlab.__file__)))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_console_script_roundtrip():
+    # Run the entry point as the generated wrapper does.
+    module, func = _console_script_target()
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "partition", "--n", "24", "--k", "3", "--K", "4"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_source_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["times"] == [0, 12, 24]
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import pesinlab, pesinlab.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc_partition = pesinlab.cli.main(["partition", "--n", "24", "--k", "3", "--K", "4"])
+    before = loaded()
+    rc_close = pesinlab.cli.main(["close", "--point", "0.31,0.57", "--n", "9"])
+print(json.dumps([rc_partition, before, rc_close, loaded()]))
+"""
+
+
+def test_import_is_numpy_only():
+    # scipy is imported by the Newton solve alone, so a fresh process that
+    # imports pesinlab and runs a command without one never loads it
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    rc_partition, before, rc_close, after = json.loads(proc.stdout)
+    assert rc_partition == 0 and before == []
+    assert rc_close == 0 and "scipy.sparse" in after
 
 
 @pytest.mark.skipif(shutil.which("pesinlab") is None,

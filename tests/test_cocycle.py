@@ -5,31 +5,42 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.cocycle import (
     _prefix_sum,
+    _principal_angles,
     _sv,
     OrbitData,
     alpha_constant,
-    angle_report,
     domination_upgrade_n0,
     log_norm_blocks,
     lyapunov_spectrum,
     mean_exponents,
     mean_exponents_many,
-    minimal_norm,
-    operator_norm,
-    orthonormalize,
     subbundle_angle,
     upgrade_limit_domination,
 )
 from pesinlab.errors import DegenerateSplittingError, SingularRestrictionError
 from pesinlab.quasihyp import canonical_partition, check_quasi_hyperbolic
+from pesinlab.systems import orthonormalize
 
 from conftest import LOG2, LOG_3P5, LOG_U
+
+
+def operator_norm(jac, basis=None):
+    """Oracle: largest singular value of ``jac`` on the span of ``basis``."""
+    m = jac if basis is None else jac @ orthonormalize(basis)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def minimal_norm(jac, basis=None):
+    """Oracle: smallest singular value of ``jac`` on the span of ``basis``."""
+    m = jac if basis is None else jac @ orthonormalize(basis)
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def test_operator_and_minimal_norm_plain():
@@ -320,16 +331,35 @@ def test_prop_21_2_angle_bound(p24, p24_split):
         x = rng.random(3) * np.array([0.2, 1.0, 1.0])  # stay clear of fiber 1/2
         rep = mean_exponents(p24, x, p24_split, K=1, horizon=60)
         if rep.limdom_hat <= -2 * lam + 1e-3:
-            report = angle_report(p24, x, p24_split, S=1, samples=30)
-            assert report.e0_hat >= 1.0
-            assert min(report.tail_infimum) >= 1.0
+            assert subbundle_angle(p24_split) >= 1.0
 
 
-def test_angle_report_validation(cat, cat_split):
-    with pytest.raises(ValueError):
-        angle_report(cat, np.array([0.1, 0.2]), cat_split, S=0, samples=5)
-    rep = angle_report(cat, np.array([0.1, 0.2]), cat_split, S=2, samples=4)
-    assert len(rep.angles) == 4 and rep.step == 2
+@st.composite
+def _subspace_pair(draw):
+    """Bases of two subspaces of R^d, d <= 3, of any dimensions, with
+    columns that may be nearly collinear within a basis or across the two."""
+    d = draw(st.integers(1, 3))
+    ka, kb = draw(st.integers(1, d)), draw(st.integers(1, d))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((d, ka)), rng.standard_normal((d, kb))
+    scale = 10.0 ** draw(st.floats(-16.0, -1.0))
+    if draw(st.booleans()):
+        b[:, 0] = a[:, 0] + scale * rng.standard_normal(d)
+    if ka > 1 and draw(st.booleans()):
+        a[:, 1] = a[:, 0] + scale * rng.standard_normal(d)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_pair())
+def test_principal_angles_match_scipy(pair):
+    a, b = pair
+    got, want = _principal_angles(a, b), scipy.linalg.subspace_angles(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
+    if scipy.linalg.orth(a).shape[1] == scipy.linalg.orth(b).shape[1]:
+        assert np.array_equal(got, want)
 
 
 def test_alpha_constant_oracles(cat, p24):
@@ -593,10 +623,8 @@ def test_splitting_frames_computed_once(p24_split):
     for b, c in frames.values():
         assert not b.flags.writeable and not c.flags.writeable
         assert np.allclose(np.hstack([b, c]).T @ np.hstack([b, c]), np.eye(3), atol=1e-15)
-    # two columns 1e-13 apart pass the splitting's rank test but not
-    # orthonormalize's; every OrbitData built on it raises
+    # two columns 1e-13 apart pass the transversality test (matrix_rank)
+    # but not orthonormalize's, so the splitting itself is rejected
     e = np.array([[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0]])
-    near = dyn.Splitting(e, np.array([[0.0], [0.0], [1.0]]))
-    for _ in range(2):
-        with pytest.raises(DegenerateSplittingError, match="rank deficient"):
-            OrbitData(dyn.make_system("product24"), np.zeros(3), near, n_fwd=3)
+    with pytest.raises(DegenerateSplittingError, match="rank deficient"):
+        dyn.Splitting(e, np.array([[0.0], [0.0], [1.0]]))

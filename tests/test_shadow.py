@@ -14,7 +14,6 @@ from pesinlab.shadow import (
     PseudoOrbit,
     _newton_matrix,
     close_orbit,
-    cumulative_times,
     estimate_shadowing_constant,
     make_pseudo_orbit,
     periodic_density_probe,
@@ -23,16 +22,6 @@ from pesinlab.shadow import (
     verify_shadowing,
     write_pseudo_orbit,
 )
-
-
-def test_cumulative_times():
-    assert cumulative_times((3, 4, 5), 0) == 0
-    assert cumulative_times((3, 4, 5), 2) == 7
-    assert cumulative_times((3, 4, 5), 3) == 12
-    assert cumulative_times((3, 4, 2), -1) == -2
-    assert cumulative_times((3, 4, 2), -3) == -9
-    with pytest.raises(ValueError):
-        cumulative_times((3, 4), 5)
 
 
 def test_pseudo_orbit_validation(cat):

@@ -43,9 +43,9 @@ def test_cat_matrix_and_eigenstructure(cat, cat_split):
 
 def test_cat_step_and_inverse(cat):
     x = np.array([0.3, 0.4])
-    y = dyn.step(cat, x)
+    y = cat.step(x)
     assert y == pytest.approx([0.0, 0.7])
-    assert dyn.torus_distance(dyn.inverse_step(cat, y), x) < 1e-14
+    assert dyn.torus_distance(cat.inverse_step(y), x) < 1e-14
 
 
 def test_g_map_fixed_points():
@@ -80,12 +80,12 @@ def test_g_prime_positive_circle_diffeo():
 
 def test_product24_structure(p24):
     x = np.array([0.2, 0.3, 0.4])
-    y = dyn.step(p24, x)
+    y = p24.step(x)
     assert y[0] == pytest.approx(float(dyn.g_map(np.array([0.2]))[0]))
-    assert y[1:] == pytest.approx(dyn.step(dyn.make_system("cat"), x[1:]))
+    assert y[1:] == pytest.approx(dyn.make_system("cat").step(x[1:]))
     jac = p24.jacobian_many(x[None])[0]
     assert jac[0, 1] == jac[0, 2] == jac[1, 0] == jac[2, 0] == 0.0
-    assert dyn.torus_distance(dyn.inverse_step(p24, y), x) < 1e-14
+    assert dyn.torus_distance(p24.inverse_step(y), x) < 1e-14
 
 
 def test_orbit_points_shapes(cat):
@@ -93,10 +93,10 @@ def test_orbit_points_shapes(cat):
     orb = dyn.orbit_points(cat, x, 5)
     assert orb.shape == (6, 2)
     assert np.array_equal(orb[0], x)
-    assert dyn.torus_distance(orb[3], dyn.step(cat, orb[2])) < 1e-15
+    assert dyn.torus_distance(orb[3], cat.step(orb[2])) < 1e-15
     back = dyn.orbit_points_back(cat, x, 4)
     assert back.shape == (5, 2)
-    assert dyn.torus_distance(dyn.step(cat, back[1]), x) < 1e-14
+    assert dyn.torus_distance(cat.step(back[1]), x) < 1e-14
 
 
 def test_orbit_many_matches_single(cat):
@@ -203,8 +203,8 @@ def test_make_system_composite_dict():
     }
     rot = dyn.make_system(spec)
     assert rot.dim == 1
-    assert dyn.step(rot, np.array([0.9]))[0] == pytest.approx(0.15)
-    assert dyn.inverse_step(rot, np.array([0.15]))[0] == pytest.approx(0.9)
+    assert rot.step(np.array([0.9]))[0] == pytest.approx(0.15)
+    assert rot.inverse_step(np.array([0.15]))[0] == pytest.approx(0.9)
 
 
 def test_composite_formulas_match_numpy():
