@@ -5,9 +5,11 @@ seams.  Closing and shadowing solve one orbit equation on the chain points
 z_0, z_1, ...: z_{nxt[j]} = f(z_j) for j = 0..p-1, where p is the total
 length and nxt[j] = (j + 1) mod len(z).  A periodic window has p points, so
 the last step lands back on z_0; an open window has p + 1, so it lands on
-the extra endpoint.  Newton iteration solves the block linearization
-sparsely; open windows are underdetermined by one block and are solved in
-the minimum-norm sense.
+the extra endpoint.  Each Newton step solves the block linearization
+L delta = -r.  A periodic window's L is square and takes a sparse LU.  An
+open window's L is one block short of square, so it takes the minimum-norm
+step delta = L^T (L L^T)^{-1} (-r): L L^T is block tridiagonal and
+positive definite, and one banded Cholesky solve gives the inner vector.
 """
 
 from __future__ import annotations
@@ -21,24 +23,16 @@ from ._serialize import fmt_float
 from .errors import ConvergenceError, PseudoOrbitFormatError
 
 __all__ = [
-    "PseudoOrbit",
-    "make_pseudo_orbit",
-    "read_pseudo_orbit",
-    "write_pseudo_orbit",
-    "segment_deviations",
-    "verify_shadowing",
-    "ShadowResult",
-    "solve_shadow",
-    "close_orbit",
-    "ShadowingConstants",
-    "estimate_shadowing_constant",
+    "PseudoOrbit", "make_pseudo_orbit", "read_pseudo_orbit", "write_pseudo_orbit",
+    "segment_deviations", "verify_shadowing", "ShadowResult", "solve_shadow",
+    "close_orbit", "ShadowingConstants", "estimate_shadowing_constant",
     "periodic_density_probe",
 ]
 
 _MAX_TOTAL = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoOrbit:
     """Chain of orbit segments with seam gaps below delta.
 
@@ -52,7 +46,7 @@ class PseudoOrbit:
     segments: tuple
     periodic: bool
     delta: float | None = None
-    gaps: tuple = field(init=False, repr=False, compare=False)
+    gaps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         segs = tuple(np.asarray(s, dtype=float) for s in self.segments)
@@ -85,10 +79,6 @@ class PseudoOrbit:
     @property
     def n_list(self):
         return tuple(len(s) - 1 for s in self.segments)
-
-    @property
-    def x_list(self):
-        return tuple(s[0] for s in self.segments)
 
     @property
     def total_length(self):
@@ -226,7 +216,7 @@ def verify_shadowing(system, x, pseudo, epsilon):
     return worst < epsilon, worst, where
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShadowResult:
     """Solved orbit with its verified deviation and Newton diagnostics.
 
@@ -246,14 +236,10 @@ class ShadowResult:
         return self.points[0]
 
     def to_dict(self):
-        return {
-            "periodic": self.periodic,
-            "period": self.period,
-            "epsilon_achieved": self.epsilon_achieved,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "points": [[float(v) for v in row] for row in self.points],
-        }
+        return {"periodic": self.periodic, "period": self.period,
+                "epsilon_achieved": self.epsilon_achieved, "residual": self.residual,
+                "iterations": self.iterations,
+                "points": [[float(v) for v in row] for row in self.points]}
 
 
 def _residual(system, z, nxt):
@@ -276,15 +262,53 @@ def _newton_matrix(system, z, nxt):
                              shape=(p * d, len(z) * d)).tocsr()
 
 
+def _normal_band(jac):
+    """Upper band of L L^T for an open window, as cholesky_banded reads it.
+
+    With A_j = jac[j], block row j of L holds -A_j in column j and I in
+    column j + 1, so L L^T is block tridiagonal: A_j A_j^T + I on the
+    diagonal and -A_{j+1}^T above it, 2d - 1 superdiagonals in all.  Entry
+    (i, k), i <= k, sits at band[2d - 1 + i - k, k].
+    """
+    p, d = jac.shape[:2]
+    band = np.zeros((2 * d, p, d))
+    for a in range(d):
+        for b in range(d):
+            band[d - 1 + a - b, 1:, b] = -jac[1:, b, a]
+            if a <= b:
+                np.einsum("jk,jk->j", jac[:, a], jac[:, b],
+                          out=band[2 * d - 1 + a - b, :, b])
+    band[2 * d - 1] += 1.0
+    return band.reshape(2 * d, p * d)
+
+
+def _min_norm_step(jac, rhs):
+    """Minimum-norm solution of L delta = rhs for an open window, as a
+    (p + 1, d) array: delta = L^T y with (L L^T) y = rhs.  (solveh_banded
+    would take a two-row band to ptsv, which rejects a 1 x 1 system.)"""
+    from scipy.linalg import cho_solve_banded, cholesky_banded  # scipy's import time
+
+    p, d = jac.shape[:2]
+    factor = cholesky_banded(_normal_band(jac), check_finite=False)
+    y = cho_solve_banded((factor, False), rhs, check_finite=False).reshape(p, d)
+    delta = np.zeros((p + 1, d))
+    delta[:p] = -np.einsum("jba,jb->ja", jac, y)
+    delta[1:] += y
+    return delta
+
+
 def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     """Newton realization of an orbit through the pseudo-orbit window.
 
     The unknowns are the chain points, seeded by the pseudo-orbit itself:
-    one per step, plus the final endpoint when the window is open.  Raises
-    ConvergenceError (with diagnostics attached) when the residual fails to
-    reach tol; nothing is returned in that case.
+    one per step, plus the final endpoint when the window is open.  A cycle
+    steps by a sparse LU of its square L, an open window by one banded
+    Cholesky solve of L L^T.  Raises ConvergenceError (with diagnostics
+    attached) when the residual fails to reach tol or turns non-finite, or
+    a factorization fails; nothing is returned in that case.
     """
-    from scipy.sparse.linalg import spsolve  # here, not at module level: scipy's import time
+    if pseudo.periodic:  # only cycles need scipy.sparse; not at module level: import time
+        from scipy.sparse.linalg import spsolve
 
     if pseudo.total_length > _MAX_TOTAL:
         raise ValueError(f"window too long: {pseudo.total_length} > {_MAX_TOTAL}")
@@ -296,41 +320,40 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     nxt = np.arange(1, p + 1) % len(z)
 
     history = []
+
+    def failure(message):
+        return ConvergenceError(message, result={"residual_history": history,
+                                                 "iterations": it})
+
     for it in range(max_iter + 1):
         r = _residual(system, z, nxt)
         res = float(np.abs(r).max())
         history.append(res)
         if res < tol:
             break
+        if not np.isfinite(res):
+            raise failure(f"non-finite Newton residual at iteration {it}")
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
-            raise ConvergenceError(
-                f"Newton residual grew twice in a row at iteration {it}: "
-                f"{history[-3]:.3e} -> {history[-1]:.3e}",
-                result={"residual_history": history, "iterations": it},
-            )
+            raise failure(f"Newton residual grew twice in a row at iteration {it}: "
+                          f"{history[-3]:.3e} -> {history[-1]:.3e}")
         if it == max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations "
-                f"(residual {res:.3e}, tol {tol:.3e})",
-                result={"residual_history": history, "iterations": it},
-            )
-        mat = _newton_matrix(system, z, nxt)
+            raise failure(f"no convergence after {max_iter} iterations "
+                          f"(residual {res:.3e}, tol {tol:.3e})")
         rhs = -r.ravel()
-        if pseudo.periodic:
-            delta = spsolve(mat, rhs)
-        else:
-            delta = mat.T @ spsolve((mat @ mat.T).tocsc(), rhs)
+        try:
+            if pseudo.periodic:
+                delta = spsolve(_newton_matrix(system, z, nxt), rhs)
+            else:
+                delta = _min_norm_step(system.jacobian_many(z[:p]), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise failure(f"Newton step failed at iteration {it}: {exc}") from exc
         z = dyn.wrap(z + delta.reshape(z.shape))
 
     worsts, _ = segment_deviations(z, pseudo)
-    return ShadowResult(
-        points=z,
-        periodic=pseudo.periodic,
-        period=p if pseudo.periodic else None,
-        epsilon_achieved=float(worsts.max()),
-        residual=history[-1],
-        iterations=len(history) - 1,
-    )
+    return ShadowResult(points=z, periodic=pseudo.periodic,
+                        period=p if pseudo.periodic else None,
+                        epsilon_achieved=float(worsts.max()), residual=history[-1],
+                        iterations=len(history) - 1)
 
 
 def close_orbit(system, x, n, tol=1e-12):
@@ -415,12 +438,8 @@ def estimate_shadowing_constant(system, deltas, trials, length_range,
             d0_hat = max(d0_hat, dv)
         if ratios:
             L_hat = max(L_hat, max(ratios))
-        per_delta.append({
-            "delta": dv,
-            "converged": converged,
-            "trials": trials,
-            "max_ratio": max(ratios) if ratios else 0.0,
-        })
+        per_delta.append({"delta": dv, "converged": converged, "trials": trials,
+                          "max_ratio": max(ratios) if ratios else 0.0})
     return ShadowingConstants(L_hat=L_hat, d0_hat=d0_hat,
                               trials=trials * len(deltas),
                               per_delta=tuple(per_delta))
@@ -463,10 +482,6 @@ def periodic_density_probe(system, sample, n_max, epsilon, gap_cap=0.05,
     passed = sum(o == "passed" for o in outcomes)
     fraction = passed / attempted if attempted else 0.0
     if return_report:
-        return fraction, {
-            "fraction": fraction,
-            "attempted": attempted,
-            "skipped": len(sample) - attempted,
-            "outcomes": outcomes,
-        }
+        return fraction, {"fraction": fraction, "attempted": attempted,
+                          "skipped": len(sample) - attempted, "outcomes": outcomes}
     return fraction

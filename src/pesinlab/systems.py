@@ -546,7 +546,7 @@ def make_system(spec):
     raise UnsupportedSystemError(f"cannot build a system from {type(spec).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Splitting:
     """A direct-sum splitting E + F of the tangent space, unit basis columns.
 
@@ -559,7 +559,7 @@ class Splitting:
 
     e_basis: np.ndarray
     f_basis: np.ndarray
-    _frames: dict = field(init=False, repr=False, compare=False)
+    _frames: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         e = np.atleast_2d(np.asarray(self.e_basis, dtype=float))

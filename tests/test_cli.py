@@ -107,6 +107,26 @@ def test_shadow_command_and_exit_codes(tmp_path, capsys, cat, p24):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("jacobian, message", [
+    # A A^T + I rounds to a singular matrix: the band factorization fails
+    ([["1073741824", "0"], ["1073741824", "0"]], "Newton step failed"),
+    ([["log(0*x0)", "0"], ["0", "1"]], "non-finite Newton residual"),
+])
+def test_shadow_numerical_breakdown_exits_1(tmp_path, capsys, cat, jacobian, message):
+    cfg = tmp_path / "broken.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"], "jacobian": jacobian}}))
+    x0 = np.array([0.3, 0.6])
+    x1 = dyn.wrap(dyn.orbit_points(cat, x0, 5)[-1] + 1e-8)
+    path = tmp_path / "chain.txt"
+    write_pseudo_orbit(make_pseudo_orbit(cat, [x0, x1], [5, 5], periodic=False), path)
+    assert main(["shadow", "--config", str(cfg), "--file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+
+
 def test_close_command(capsys):
     rc = main(["close", "--point", "0.31,0.57", "--n", "9"])
     assert rc == 0

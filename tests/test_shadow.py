@@ -5,14 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
 from pesinlab.errors import ConvergenceError, PseudoOrbitFormatError
 from pesinlab.shadow import (
     PseudoOrbit,
+    _min_norm_step,
     _newton_matrix,
+    _normal_band,
+    _residual,
     close_orbit,
     estimate_shadowing_constant,
     make_pseudo_orbit,
@@ -164,43 +167,114 @@ def _chain_rows(pseudo):
     return np.vstack(rows)
 
 
-def _dense_cat_matrix(p, n_points):
-    """Dense linearized cat orbit equation: block row j holds -A in column j
+def _dense_matrix(jac, n_points):
+    """Dense linearized orbit equation: block row j holds -jac[j] in column j
     and I in column (j + 1) mod n_points (both in column 0 when it is 1)."""
-    A = np.array([[2.0, 1.0], [1.0, 1.0]])
-    J = np.zeros((2 * p, 2 * n_points))
+    p, d = jac.shape[:2]
+    J = np.zeros((d * p, d * n_points))
     for j in range(p):
         k = (j + 1) % n_points
-        J[2 * j:2 * j + 2, 2 * j:2 * j + 2] -= A
-        J[2 * j:2 * j + 2, 2 * k:2 * k + 2] += np.eye(2)
+        J[d * j:d * j + d, d * j:d * j + d] -= jac[j]
+        J[d * j:d * j + d, d * k:d * k + d] += np.eye(d)
     return J
 
 
-def _dense_newton_step(cat, pseudo):
+def _dense_newton_step(system, pseudo):
     """One Newton step on the chain, dense algebra: square solve for a
     cycle, minimum norm for an open chain."""
     z = _chain_rows(pseudo)
     p = pseudo.total_length
-    J = _dense_cat_matrix(p, len(z))
+    J = _dense_matrix(system.jacobian_many(z[:p]), len(z))
     nxt = [(j + 1) % len(z) for j in range(p)]
-    r = dyn.torus_diff(z[nxt], cat.step_many(z[:p])).ravel()
+    r = dyn.torus_diff(z[nxt], system.step_many(z[:p])).ravel()
     if pseudo.periodic:
         delta = np.linalg.solve(J, -r)
     else:
         delta = J.T @ np.linalg.solve(J @ J.T, -r)
-    return dyn.wrap(z + delta.reshape(-1, 2))
+    return dyn.wrap(z + delta.reshape(z.shape))
 
 
-def test_open_window_min_norm_oracle(cat):
+def test_open_window_min_norm_oracle():
     rng = np.random.default_rng(23)
-    for _ in range(3):
-        x0 = rng.random(2)
-        end = dyn.orbit_points(cat, x0, 7)[-1]
-        x1 = dyn.wrap(end + 1e-6 * rng.standard_normal(2))
-        po = make_pseudo_orbit(cat, [x0, x1], [7, 6], periodic=False)
-        res = solve_shadow(cat, po)
-        oracle = _dense_newton_step(cat, po)
-        assert float(np.max(dyn.torus_distance(res.points, oracle))) < 1e-10
+    for system in map(dyn.make_system, ["cat", "product24", "circle-g"]):
+        for _ in range(3):
+            x0 = rng.random(system.dim)
+            end = dyn.orbit_points(system, x0, 7)[-1]
+            x1 = dyn.wrap(end + 1e-6 * rng.standard_normal(system.dim))
+            po = make_pseudo_orbit(system, [x0, x1], [7, 6], periodic=False)
+            res = solve_shadow(system, po)
+            assert res.iterations >= 1
+            oracle = _dense_newton_step(system, po)
+            assert float(np.max(dyn.torus_distance(res.points, oracle))) < 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["cat", "p24", "random"]), p=st.integers(1, 40),
+       d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(name="random", p=1, d=1, seed=0)  # a 1 x 1 system
+def test_normal_band_dense_oracle(cat, p24, name, p, d, seed):
+    # the band read back as a matrix is L L^T, and every entry outside the
+    # upper band, including the unread corner, is zero; the random
+    # Jacobians expand, as the built-in ones do, but are not symmetric
+    rng = np.random.default_rng(seed)
+    if name == "random":
+        jac = 4.0 * np.eye(d) + rng.uniform(-1.0, 1.0, size=(p, d, d))
+    else:
+        system = cat if name == "cat" else p24
+        jac, d = system.jacobian_many(rng.random((p, system.dim))), system.dim
+    L = _dense_matrix(jac, p + 1)
+    n, u = p * d, 2 * d - 1
+    want = np.zeros((u + 1, n))
+    for k in range(n):
+        for i in range(max(0, k - u), k + 1):
+            want[u + i - k, k] = L[i] @ L[k]
+    band = _normal_band(jac)
+    assert band.shape == want.shape
+    # entries are at most 76 in size; the two sums may round differently
+    np.testing.assert_allclose(band, want, rtol=1e-15, atol=1e-13)
+    # and the step is the dense minimum-norm solution of L delta = rhs, to
+    # the accuracy the conditioning of L L^T allows (product24's fiber is
+    # near-neutral, so its condition number reaches ~1e7 at p = 40)
+    rhs = rng.standard_normal(n)
+    step = L.T @ np.linalg.solve(L @ L.T, rhs)
+    got = _min_norm_step(jac, rhs).ravel()
+    bound = 16 * np.finfo(float).eps * np.linalg.cond(L @ L.T)
+    assert np.abs(got - step).max() <= bound * np.abs(step).max()
+
+
+def _spsolve_step(system, z, rhs):
+    """Minimum-norm open-window step through a sparse LU of L L^T: the
+    oracle for the banded Cholesky step."""
+    from scipy.sparse.linalg import spsolve
+
+    mat = _newton_matrix(system, z, np.arange(1, len(z)))
+    return (mat.T @ spsolve((mat @ mat.T).tocsc(), rhs)).reshape(z.shape)
+
+
+@pytest.mark.parametrize("name", ["cat", "product24"])
+def test_min_norm_step_matches_spsolve(name):
+    # 200 random windows: 2-5 segments of length 1-199 joined by jumps of
+    # 1e-7, with the endpoint moved as far, plus one- and two-step windows,
+    # where the band is wider than the matrix
+    system = dyn.make_system(name)
+    rng = np.random.default_rng(7)
+    windows = [[1], [2], [1, 1]] + [list(rng.integers(1, 200, size=rng.integers(2, 6)))
+                                    for _ in range(200)]
+    worst = 0.0
+    for lengths in windows:
+        x, segs = rng.random(system.dim), []
+        for n in lengths:
+            segs.append(dyn.orbit_points(system, x, int(n)))
+            x = dyn.wrap(segs[-1][-1] + 1e-7 * rng.standard_normal(system.dim))
+        z = _chain_rows(PseudoOrbit(segments=tuple(segs), periodic=False))
+        z[-1] = x
+        p = len(z) - 1
+        rhs = -_residual(system, z, np.arange(1, p + 1)).ravel()
+        got = _min_norm_step(system.jacobian_many(z[:p]), rhs)
+        want = _spsolve_step(system, z, rhs)
+        assert np.abs(want).max() > 0.0
+        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    assert worst <= 1e-15, worst
 
 
 @pytest.mark.parametrize("starts, lengths", [
@@ -215,8 +289,9 @@ def test_short_cycle_dense_oracle(cat, starts, lengths):
                            periodic=True)
     z = _chain_rows(po)
     nxt = np.arange(1, len(z) + 1) % len(z)
+    cat_jac = np.tile([[2.0, 1.0], [1.0, 1.0]], (len(z), 1, 1))
     assert np.array_equal(_newton_matrix(cat, z, nxt).toarray(),
-                          _dense_cat_matrix(len(z), len(z)))
+                          _dense_matrix(cat_jac, len(z)))
     res = solve_shadow(cat, po)
     assert res.period == len(z) == sum(lengths)
     assert float(np.max(dyn.torus_distance(res.points,
@@ -302,6 +377,64 @@ def test_divergence_reports_diagnostics(p24):
     info = err.value.result
     assert info["iterations"] == 1
     assert len(info["residual_history"]) >= 1
+
+
+class _StubCat:
+    """Cat map steps beside a chosen Jacobian; ``nan_step`` spoils the steps."""
+
+    dim = 2
+
+    def __init__(self, jacobian, nan_step=False):
+        self.jacobian = np.asarray(jacobian, dtype=float)
+        self.nan_step = nan_step
+
+    def step_many(self, pts):
+        out = dyn.make_system("cat").step_many(pts)
+        return np.full_like(out, np.nan) if self.nan_step else out
+
+    def jacobian_many(self, pts):
+        return np.broadcast_to(self.jacobian, pts.shape[:-1] + (2, 2)).copy()
+
+
+def _jumped_chain(periodic):
+    cat = dyn.make_system("cat")
+    x0 = np.array([0.3, 0.6])
+    x1 = dyn.wrap(dyn.orbit_points(cat, x0, 5)[-1] + 1e-8)
+    return make_pseudo_orbit(cat, [x0, x1], [5, 5], periodic=periodic)
+
+
+@pytest.mark.filterwarnings("ignore")  # spsolve warns of the NaN matrix
+@pytest.mark.parametrize("periodic", [False, True])
+def test_non_finite_residual_fails_fast(periodic):
+    po = _jumped_chain(periodic)
+    with pytest.raises(ConvergenceError, match="non-finite Newton residual at iteration 0"):
+        solve_shadow(_StubCat([[2.0, 1.0], [1.0, 1.0]], nan_step=True), po)
+    # a NaN Jacobian spoils the first correction, so the next residual is NaN
+    with pytest.raises(ConvergenceError, match="iteration 1") as err:
+        solve_shadow(_StubCat([[np.nan, 1.0], [1.0, 1.0]]), po)
+    history = err.value.result["residual_history"]
+    assert err.value.result["iterations"] == 1
+    assert len(history) == 2 and np.isfinite(history[0]) and np.isnan(history[1])
+
+
+def test_failed_band_factorization_is_convergence_error():
+    # A = [[2^30, 0], [2^30, 0]]: A A^T + I rounds to the singular
+    # 2^60 [[1, 1], [1, 1]], so the Cholesky factorization stops
+    with pytest.raises(ConvergenceError, match="Newton step failed at iteration 0") as err:
+        solve_shadow(_StubCat([[2.0 ** 30, 0.0], [2.0 ** 30, 0.0]]), _jumped_chain(False))
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert err.value.result["iterations"] == 0
+    assert len(err.value.result["residual_history"]) == 1
+
+
+def test_array_holding_dataclasses_compare_by_identity(cat):
+    # equal-content instances compare unequal instead of raising on their arrays
+    po, twin = _jumped_chain(False), _jumped_chain(False)
+    res, res_twin = solve_shadow(cat, po), solve_shadow(cat, twin)
+    split, split_twin = dyn.reference_splitting(cat), dyn.reference_splitting(cat)
+    for a, b in [(po, twin), (res, res_twin), (split, split_twin)]:
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 def test_estimate_shadowing_constant(cat):
