@@ -6,10 +6,11 @@ z_0, z_1, ...: z_{nxt[j]} = f(z_j) for j = 0..p-1, where p is the total
 length and nxt[j] = (j + 1) mod len(z).  A periodic window has p points, so
 the last step lands back on z_0; an open window has p + 1, so it lands on
 the extra endpoint.  Each Newton step solves the block linearization
-L delta = -r.  A periodic window's L is square and takes a sparse LU.  An
-open window's L is one block short of square, so it takes the minimum-norm
-step delta = L^T (L L^T)^{-1} (-r): L L^T is block tridiagonal and
-positive definite, and one banded Cholesky solve gives the inner vector.
+L delta = -r as delta = L^T (L L^T)^{-1} (-r): the exact solution when L is
+square (a cycle), the minimum-norm one when it is one block short (an open
+window).  An open window's L L^T is block tridiagonal and positive
+definite, and a cycle's adds one wrap term of rank 2d, so one banded
+Cholesky factor serves both.
 """
 
 from __future__ import annotations
@@ -247,23 +248,8 @@ def _residual(system, z, nxt):
     return dyn.torus_diff(z[nxt], system.step_many(z[:len(nxt)]))
 
 
-def _newton_matrix(system, z, nxt):
-    """Sparse linearized orbit equation at z: block row j holds -Df(z_j) in
-    column j and I in column nxt[j] (both in column 0 for a 1-point cycle)."""
-    from scipy import sparse  # here, not at module level: scipy's import time
-
-    p, d = len(nxt), z.shape[1]
-    data = np.empty((p, 2, d, d))
-    data[:, 0] = -system.jacobian_many(z[:p])
-    data[:, 1] = np.eye(d)
-    indices = np.column_stack([np.arange(p), nxt]).astype(np.int32).ravel()
-    indptr = np.arange(0, 2 * p + 1, 2, dtype=np.int32)
-    return sparse.bsr_matrix((data.reshape(2 * p, d, d), indices, indptr),
-                             shape=(p * d, len(z) * d)).tocsr()
-
-
 def _normal_band(jac):
-    """Upper band of L L^T for an open window, as cholesky_banded reads it.
+    """Upper band of an open window's L L^T, as cholesky_banded reads it.
 
     With A_j = jac[j], block row j of L holds -A_j in column j and I in
     column j + 1, so L L^T is block tridiagonal: A_j A_j^T + I on the
@@ -282,18 +268,36 @@ def _normal_band(jac):
     return band.reshape(2 * d, p * d)
 
 
-def _min_norm_step(jac, rhs):
-    """Minimum-norm solution of L delta = rhs for an open window, as a
-    (p + 1, d) array: delta = L^T y with (L L^T) y = rhs.  (solveh_banded
-    would take a two-row band to ptsv, which rejects a 1 x 1 system.)"""
+def _newton_step(jac, rhs, periodic):
+    """Solution delta = L^T y, (L L^T) y = rhs, of L delta = rhs, one row per
+    chain point: exact for a cycle, minimum-norm for an open window.
+
+    A cycle's L L^T is the open band plus the wrap blocks -A_0 at (0, p-1)
+    and -A_0^T at (p-1, 0), i.e. U C U^T with U = [E_0, E_{p-1}] and
+    C = [[0, -A_0], [-A_0^T, 0]]; Woodbury folds them into the band's
+    factor: y = x - X (I + C U^T X)^{-1} C U^T x, where the band solves
+    x = T^{-1} rhs and X = T^{-1} U.  (solveh_banded would send a two-row
+    band to ptsv, which rejects a 1 x 1 system.)
+    """
     from scipy.linalg import cho_solve_banded, cholesky_banded  # scipy's import time
 
     p, d = jac.shape[:2]
-    factor = cholesky_banded(_normal_band(jac), check_finite=False)
-    y = cho_solve_banded((factor, False), rhs, check_finite=False).reshape(p, d)
-    delta = np.zeros((p + 1, d))
+    factor = (cholesky_banded(_normal_band(jac), check_finite=False), False)
+    if periodic:
+        ends = np.r_[0:d, p * d - d:p * d]  # the rows of E_0 and E_{p-1}
+        u = np.zeros((p * d, 2 * d))
+        u[ends, np.arange(2 * d)] = 1.0
+        x = cho_solve_banded(factor, np.column_stack([rhs, u]), check_finite=False)
+        c = np.zeros((2 * d, 2 * d))
+        c[:d, d:], c[d:, :d] = -jac[0], -jac[0].T
+        cx = c @ x[ends]
+        y = x[:, 0] - x[:, 1:] @ np.linalg.solve(np.eye(2 * d) + cx[:, 1:], cx[:, 0])
+    else:
+        y = cho_solve_banded(factor, rhs, check_finite=False)
+    y = y.reshape(p, d)
+    delta = np.zeros((p + (not periodic), d))
     delta[:p] = -np.einsum("jba,jb->ja", jac, y)
-    delta[1:] += y
+    delta[np.arange(1, p + 1) % len(delta)] += y
     return delta
 
 
@@ -301,15 +305,12 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     """Newton realization of an orbit through the pseudo-orbit window.
 
     The unknowns are the chain points, seeded by the pseudo-orbit itself:
-    one per step, plus the final endpoint when the window is open.  A cycle
-    steps by a sparse LU of its square L, an open window by one banded
-    Cholesky solve of L L^T.  Raises ConvergenceError (with diagnostics
-    attached) when the residual fails to reach tol or turns non-finite, or
-    a factorization fails; nothing is returned in that case.
+    one per step, plus the final endpoint when the window is open.  Each
+    step is one banded Cholesky solve (:func:`_newton_step`).  Raises
+    ConvergenceError (with diagnostics attached) when the residual turns
+    non-finite, has not halved over two steps or misses tol after max_iter,
+    or a factorization fails; nothing is returned in that case.
     """
-    if pseudo.periodic:  # only cycles need scipy.sparse; not at module level: import time
-        from scipy.sparse.linalg import spsolve
-
     if pseudo.total_length > _MAX_TOTAL:
         raise ValueError(f"window too long: {pseudo.total_length} > {_MAX_TOTAL}")
     if system.dim != pseudo.dim:
@@ -333,18 +334,14 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
             break
         if not np.isfinite(res):
             raise failure(f"non-finite Newton residual at iteration {it}")
-        if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
-            raise failure(f"Newton residual grew twice in a row at iteration {it}: "
-                          f"{history[-3]:.3e} -> {history[-1]:.3e}")
+        if len(history) >= 3 and not history[-1] <= 0.5 * history[-3]:
+            raise failure(f"Newton residual stalled at iteration {it}: "
+                          f"{history[-3]:.3e} -> {history[-1]:.3e} in two steps")
         if it == max_iter:
             raise failure(f"no convergence after {max_iter} iterations "
                           f"(residual {res:.3e}, tol {tol:.3e})")
-        rhs = -r.ravel()
         try:
-            if pseudo.periodic:
-                delta = spsolve(_newton_matrix(system, z, nxt), rhs)
-            else:
-                delta = _min_norm_step(system.jacobian_many(z[:p]), rhs)
+            delta = _newton_step(system.jacobian_many(z[:p]), -r.ravel(), pseudo.periodic)
         except np.linalg.LinAlgError as exc:
             raise failure(f"Newton step failed at iteration {it}: {exc}") from exc
         z = dyn.wrap(z + delta.reshape(z.shape))

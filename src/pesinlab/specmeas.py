@@ -78,14 +78,14 @@ class _Grid:
         return query, self.order[pos]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cover:
     """Finite family of open balls with diameters below the mesh."""
 
     centers: np.ndarray
     radii: np.ndarray
     mesh: float
-    _grid: _Grid = field(init=False, repr=False, compare=False)
+    _grid: _Grid = field(init=False, repr=False)
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -146,7 +146,7 @@ def build_cover(samples, delta):
     return Cover(centers=centers, radii=np.full(len(centers), radius), mesh=float(delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionTable:
     """Minimal observed transit times X[i, j] from ball j into ball i.
 
@@ -276,7 +276,7 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
     return key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GluePlan:
     """Cyclic splice of orbit segments and transit connectors.
 
@@ -365,7 +365,7 @@ def specification_shadow(system, plan, tol=1e-12):
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Finitely supported probability measure on the torus."""
 

@@ -127,6 +127,20 @@ def test_shadow_numerical_breakdown_exits_1(tmp_path, capsys, cat, jacobian, mes
     assert "numerical failure" in err and message in err
 
 
+def test_stalled_newton_exits_1(tmp_path, capsys):
+    # a Jacobian of 0 for f(x) = x + 1/2 leaves the residual of this
+    # period-2 chain at 1e-3: the solve stops at iteration 2
+    spec = {"kind": "composite", "dim": 1, "map": ["(x0 + 0.5) % 1.0"], "jacobian": [["0"]]}
+    cfg = tmp_path / "stalled.json"
+    cfg.write_text(json.dumps({"system": spec}))
+    path = tmp_path / "cycle.txt"
+    write_pseudo_orbit(make_pseudo_orbit(dyn.make_system(spec), [[0.1], [0.601]], [1, 1],
+                                         periodic=True), path)
+    assert main(["shadow", "--config", str(cfg), "--file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "stalled at iteration 2" in err
+
+
 def test_close_command(capsys):
     rc = main(["close", "--point", "0.31,0.57", "--n", "9"])
     assert rc == 0
@@ -353,13 +367,15 @@ print(json.dumps([rc_partition, before, rc_close, loaded()]))
 
 def test_import_is_numpy_only():
     # scipy is imported by the Newton solve alone, so a fresh process that
-    # imports pesinlab and runs a command without one never loads it
+    # imports pesinlab and runs a command without one never loads it; the
+    # solve itself needs scipy.linalg and none of scipy.sparse
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, env=_source_env())
     assert proc.returncode == 0, proc.stderr
     rc_partition, before, rc_close, after = json.loads(proc.stdout)
     assert rc_partition == 0 and before == []
-    assert rc_close == 0 and "scipy.sparse" in after
+    assert rc_close == 0 and "scipy.linalg" in after
+    assert not [m for m in after if m.startswith("scipy.sparse")], after
 
 
 @pytest.mark.skipif(shutil.which("pesinlab") is None,

@@ -12,8 +12,7 @@ from pesinlab import systems as dyn
 from pesinlab.errors import ConvergenceError, PseudoOrbitFormatError
 from pesinlab.shadow import (
     PseudoOrbit,
-    _min_norm_step,
-    _newton_matrix,
+    _newton_step,
     _normal_band,
     _residual,
     close_orbit,
@@ -25,6 +24,7 @@ from pesinlab.shadow import (
     verify_shadowing,
     write_pseudo_orbit,
 )
+from pesinlab.specmeas import EmpiricalMeasure, TransitionTable, build_cover, glue_segments
 
 
 def test_pseudo_orbit_validation(cat):
@@ -210,12 +210,15 @@ def test_open_window_min_norm_oracle():
 
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(["cat", "p24", "random"]), p=st.integers(1, 40),
-       d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-@example(name="random", p=1, d=1, seed=0)  # a 1 x 1 system
-def test_normal_band_dense_oracle(cat, p24, name, p, d, seed):
-    # the band read back as a matrix is L L^T, and every entry outside the
-    # upper band, including the unread corner, is zero; the random
-    # Jacobians expand, as the built-in ones do, but are not symmetric
+       d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), periodic=st.booleans())
+@example(name="random", p=1, d=1, seed=0, periodic=False)  # a 1 x 1 system
+@example(name="random", p=1, d=2, seed=1, periodic=True)  # wrap blocks on the diagonal
+@example(name="random", p=2, d=2, seed=2, periodic=True)  # and above it
+def test_normal_band_dense_oracle(cat, p24, name, p, d, seed, periodic):
+    # the band read back as a matrix is the open window's L L^T, and every
+    # entry outside the upper band, including the unread corner, is zero;
+    # the random Jacobians expand, as the built-in ones do, but are not
+    # symmetric
     rng = np.random.default_rng(seed)
     if name == "random":
         jac = 4.0 * np.eye(d) + rng.uniform(-1.0, 1.0, size=(p, d, d))
@@ -232,49 +235,82 @@ def test_normal_band_dense_oracle(cat, p24, name, p, d, seed):
     assert band.shape == want.shape
     # entries are at most 76 in size; the two sums may round differently
     np.testing.assert_allclose(band, want, rtol=1e-15, atol=1e-13)
-    # and the step is the dense minimum-norm solution of L delta = rhs, to
-    # the accuracy the conditioning of L L^T allows (product24's fiber is
-    # near-neutral, so its condition number reaches ~1e7 at p = 40)
+    # and the step is the dense solution of L delta = rhs, square for a
+    # cycle and minimum-norm for an open window, to the accuracy the
+    # conditioning of L L^T allows (product24's fiber is near-neutral, so
+    # its condition number reaches ~1e7 at p = 40)
     rhs = rng.standard_normal(n)
-    step = L.T @ np.linalg.solve(L @ L.T, rhs)
-    got = _min_norm_step(jac, rhs).ravel()
+    if periodic:
+        L = _dense_matrix(jac, p)
+        step = np.linalg.solve(L, rhs)
+    else:
+        step = L.T @ np.linalg.solve(L @ L.T, rhs)
+    got = _newton_step(jac, rhs, periodic).ravel()
     bound = 16 * np.finfo(float).eps * np.linalg.cond(L @ L.T)
     assert np.abs(got - step).max() <= bound * np.abs(step).max()
 
 
-def _spsolve_step(system, z, rhs):
-    """Minimum-norm open-window step through a sparse LU of L L^T: the
-    oracle for the banded Cholesky step."""
+def _newton_matrix(system, z, nxt):
+    """Sparse linearized orbit equation at z: block row j holds -Df(z_j) in
+    column j and I in column nxt[j] (both in column 0 for a 1-point cycle)."""
+    from scipy import sparse
+
+    p, d = len(nxt), z.shape[1]
+    data = np.empty((p, 2, d, d))
+    data[:, 0] = -system.jacobian_many(z[:p])
+    data[:, 1] = np.eye(d)
+    indices = np.column_stack([np.arange(p), nxt]).astype(np.int32).ravel()
+    indptr = np.arange(0, 2 * p + 1, 2, dtype=np.int32)
+    return sparse.bsr_matrix((data.reshape(2 * p, d, d), indices, indptr),
+                             shape=(p * d, len(z) * d)).tocsr()
+
+
+def _spsolve_step(system, z, nxt, rhs):
+    """Newton step through a sparse LU: of the square L for a cycle, of
+    L L^T for the minimum-norm open-window step.  The oracle for the
+    banded Cholesky step."""
     from scipy.sparse.linalg import spsolve
 
-    mat = _newton_matrix(system, z, np.arange(1, len(z)))
+    mat = _newton_matrix(system, z, nxt)
+    if len(nxt) == len(z):
+        return spsolve(mat.tocsc(), rhs).reshape(z.shape)
     return (mat.T @ spsolve((mat @ mat.T).tocsc(), rhs)).reshape(z.shape)
 
 
 @pytest.mark.parametrize("name", ["cat", "product24"])
 def test_min_norm_step_matches_spsolve(name):
-    # 200 random windows: 2-5 segments of length 1-199 joined by jumps of
-    # 1e-7, with the endpoint moved as far, plus one- and two-step windows,
-    # where the band is wider than the matrix
+    # 200 random windows of each kind: 2-5 segments of length 1-199 joined
+    # by jumps of 1e-7, with the endpoint of an open window moved as far (a
+    # cycle's wrap seam is as wide as the random starts make it), plus one-
+    # and two-step windows, where the band is wider than the matrix and a
+    # cycle's wrap blocks land on or beside the diagonal.
+    # The normal equations solve a cycle to cond(L)^2 eps, not cond(L) eps
+    # as the LU does: product24's fiber can be near-neutral, and its worst
+    # cycle here (p = 1, cond(L) = 545) differs by 2.2e-11, 0.34 cond(L)^2
+    # eps; the cat map's cycles are uniformly hyperbolic.
+    bounds = {False: 1e-15, True: {"cat": 2e-15, "product24": 5e-11}[name]}
     system = dyn.make_system(name)
     rng = np.random.default_rng(7)
-    windows = [[1], [2], [1, 1]] + [list(rng.integers(1, 200, size=rng.integers(2, 6)))
-                                    for _ in range(200)]
-    worst = 0.0
-    for lengths in windows:
-        x, segs = rng.random(system.dim), []
-        for n in lengths:
-            segs.append(dyn.orbit_points(system, x, int(n)))
-            x = dyn.wrap(segs[-1][-1] + 1e-7 * rng.standard_normal(system.dim))
-        z = _chain_rows(PseudoOrbit(segments=tuple(segs), periodic=False))
-        z[-1] = x
-        p = len(z) - 1
-        rhs = -_residual(system, z, np.arange(1, p + 1)).ravel()
-        got = _min_norm_step(system.jacobian_many(z[:p]), rhs)
-        want = _spsolve_step(system, z, rhs)
-        assert np.abs(want).max() > 0.0
-        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
-    assert worst <= 1e-15, worst
+    for periodic in (False, True):
+        windows = [[1], [2], [1, 1]] + [
+            list(rng.integers(1, 200, size=rng.integers(2, 6))) for _ in range(200)]
+        worst = 0.0
+        for lengths in windows:
+            x, segs = rng.random(system.dim), []
+            for n in lengths:
+                segs.append(dyn.orbit_points(system, x, int(n)))
+                x = dyn.wrap(segs[-1][-1] + 1e-7 * rng.standard_normal(system.dim))
+            z = _chain_rows(PseudoOrbit(segments=tuple(segs), periodic=periodic))
+            if not periodic:
+                z[-1] = x
+            p = sum(lengths)
+            nxt = np.arange(1, p + 1) % len(z)
+            rhs = -_residual(system, z, nxt).ravel()
+            got = _newton_step(system.jacobian_many(z[:p]), rhs, periodic)
+            want = _spsolve_step(system, z, nxt, rhs)
+            assert np.abs(want).max() > 0.0
+            worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+        assert worst <= bounds[periodic], (periodic, worst)
 
 
 @pytest.mark.parametrize("starts, lengths", [
@@ -288,10 +324,6 @@ def test_short_cycle_dense_oracle(cat, starts, lengths):
     po = make_pseudo_orbit(cat, [dyn.wrap(np.array(x)) for x in starts], lengths,
                            periodic=True)
     z = _chain_rows(po)
-    nxt = np.arange(1, len(z) + 1) % len(z)
-    cat_jac = np.tile([[2.0, 1.0], [1.0, 1.0]], (len(z), 1, 1))
-    assert np.array_equal(_newton_matrix(cat, z, nxt).toarray(),
-                          _dense_matrix(cat_jac, len(z)))
     res = solve_shadow(cat, po)
     assert res.period == len(z) == sum(lengths)
     assert float(np.max(dyn.torus_distance(res.points,
@@ -403,7 +435,6 @@ def _jumped_chain(periodic):
     return make_pseudo_orbit(cat, [x0, x1], [5, 5], periodic=periodic)
 
 
-@pytest.mark.filterwarnings("ignore")  # spsolve warns of the NaN matrix
 @pytest.mark.parametrize("periodic", [False, True])
 def test_non_finite_residual_fails_fast(periodic):
     po = _jumped_chain(periodic)
@@ -417,14 +448,38 @@ def test_non_finite_residual_fails_fast(periodic):
     assert len(history) == 2 and np.isfinite(history[0]) and np.isnan(history[1])
 
 
-def test_failed_band_factorization_is_convergence_error():
+@pytest.mark.parametrize("periodic", [False, True])
+def test_failed_band_factorization_is_convergence_error(periodic):
     # A = [[2^30, 0], [2^30, 0]]: A A^T + I rounds to the singular
-    # 2^60 [[1, 1], [1, 1]], so the Cholesky factorization stops
+    # 2^60 [[1, 1], [1, 1]], so the Cholesky factorization stops; a cycle
+    # factors the same band before its wrap term is folded in
     with pytest.raises(ConvergenceError, match="Newton step failed at iteration 0") as err:
-        solve_shadow(_StubCat([[2.0 ** 30, 0.0], [2.0 ** 30, 0.0]]), _jumped_chain(False))
+        solve_shadow(_StubCat([[2.0 ** 30, 0.0], [2.0 ** 30, 0.0]]), _jumped_chain(periodic))
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
     assert err.value.result["iterations"] == 0
     assert len(err.value.result["residual_history"]) == 1
+
+
+def test_stalled_newton_fails_fast():
+    # f(x) = x + 1/2 with a Jacobian of 0: each step swaps the two seam
+    # defects of the period-2 chain, so the residual stays at 1e-3 and the
+    # solve stops once two steps have not halved it
+    system = dyn.make_system({"kind": "composite", "dim": 1,
+                              "map": ["(x0 + 0.5) % 1.0"], "jacobian": [["0"]]})
+    po = make_pseudo_orbit(system, [[0.1], [0.601]], [1, 1], periodic=True)
+    with pytest.raises(ConvergenceError, match="stalled at iteration 2") as err:
+        solve_shadow(system, po)
+    assert err.value.result["iterations"] == 2
+    np.testing.assert_allclose(err.value.result["residual_history"], [1e-3] * 3, rtol=1e-9)
+
+
+def _glue_pieces(cat):
+    """A one-ball cover, a table with one transit and the plan gluing the
+    fixed point 0 to itself."""
+    cover = build_cover([[0.0, 0.0]], 0.2)
+    table = TransitionTable(X=np.array([[3]]), witnesses=np.zeros((1, 1, 2)),
+                            min_n=2, horizon=10, budget=1, seed=0)
+    return cover, table, glue_segments(cat, [(np.zeros(2), 5)], cover, table)
 
 
 def test_array_holding_dataclasses_compare_by_identity(cat):
@@ -432,7 +487,10 @@ def test_array_holding_dataclasses_compare_by_identity(cat):
     po, twin = _jumped_chain(False), _jumped_chain(False)
     res, res_twin = solve_shadow(cat, po), solve_shadow(cat, twin)
     split, split_twin = dyn.reference_splitting(cat), dyn.reference_splitting(cat)
-    for a, b in [(po, twin), (res, res_twin), (split, split_twin)]:
+    measure, measure_twin = (EmpiricalMeasure(points=np.zeros((3, 2))) for _ in range(2))
+    pairs = [(po, twin), (res, res_twin), (split, split_twin), (measure, measure_twin)]
+    pairs += zip(_glue_pieces(cat), _glue_pieces(cat))  # cover, table, plan
+    for a, b in pairs:
         assert a == a and a != b
         assert len({a, b}) == 2
 
