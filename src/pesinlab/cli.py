@@ -4,8 +4,7 @@ A run is configured by an optional JSON file (``--config``) plus flag
 overrides; flags win.  Floats print with 17 significant digits and every
 random draw is seeded, so identical configuration gives byte-identical
 output.  Exit status: 0 on success, 1 when a solver or probe fails
-numerically, 2 on bad input.  BLAS parallelism is capped by the
-PESINLAB_THREADS environment variable (applied at package import).
+numerically, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -208,13 +207,11 @@ def cmd_qh_check(opt):
         raise ValueError(
             f"pseudo-orbit dimension {pseudo.dim} != system dimension {system.dim}")
     zeta = float(_require(opt, "zeta", "--zeta"))
-    splitting = dyn.reference_splitting(system)
-    segments = [(seg[0], n, splitting)
-                for seg, n in zip(pseudo.segments, pseudo.n_list)]
     e = None if opt.get("e") is None else int(opt["e"])
-    delta = pseudo.delta if opt.get("delta") is None else float(opt["delta"])
+    delta = None if opt.get("delta") is None else float(opt["delta"])
     _, report = quasihyp.check_qh_pseudo_orbit(
-        system, segments, zeta, e, delta, int(opt["k"]), int(opt["K"]))
+        system, pseudo, dyn.reference_splitting(system), zeta, e, delta,
+        int(opt["k"]), int(opt["K"]))
     return dumps(report) + "\n"
 
 

@@ -122,32 +122,54 @@ class OrbitData:
                 f"splitting is not Df-invariant along the orbit: defect "
                 f"{defect:.3e} against largest Jacobian entry {scale:.3e}")
 
-    def block_logs(self, bundle, starts, K):
-        """Restricted log norms over windows [t, t+K) at each start time t.
+    def block_logs(self, bundle, starts, lengths):
+        """Restricted log norms over windows [t, t+g) at each start time t.
 
-        Bundle 'e' gives log ||Df^K|E||, bundle 'f' gives log m(Df^K|F), from
-        the product R(t+K-1)...R(t).  Shape (len(starts), batch).  A window
-        whose product vanishes or overflows raises SingularRestrictionError.
+        ``lengths`` holds one window length g >= 1 per start, or a single
+        length for every window.  Bundle 'e' gives log ||Df^g|E||, bundle
+        'f' gives log m(Df^g|F), from the product R(t+g-1)...R(t).  Shape
+        (len(starts), batch).  A window whose product vanishes or overflows
+        raises SingularRestrictionError.
         """
         if bundle not in ("e", "f"):
             raise ValueError(f"bundle must be 'e' or 'f', got {bundle!r}")
-        starts = np.asarray(list(starts), dtype=int)
-        if starts.size == 0 or K == 0:
-            return np.zeros((len(starts), self.batch))
-        if starts.min() < -self.n_back or starts.max() + K > self.n_fwd:
+        starts = np.asarray(starts, dtype=int)
+        gs = np.asarray(lengths, dtype=int)
+        if gs.ndim and gs.shape != starts.shape:
+            raise ValueError(f"{gs.size} window lengths for {starts.size} starts")
+        if starts.size == 0:
+            return np.zeros((0, self.batch))
+        # Longest windows first, so the ones still multiplying at step s are
+        # a prefix; one length for every window needs no reordering.
+        one = gs.ndim == 0
+        order = slice(None) if one else np.argsort(-gs, kind="stable")
+        g = [int(gs)] if one else gs[order]
+        if g[-1] < 1:
+            raise ValueError(f"window lengths must be >= 1, got {int(g[-1])}")
+        if starts.min() < -self.n_back or (starts + gs).max() > self.n_fwd:
             raise ValueError("time outside the computed horizon")
+        # live[s-1]: the number of windows longer than s
+        live = [len(starts)] * (g[0] - 1) if one else \
+            np.searchsorted(-g, -np.arange(1, g[0])).tolist()
         r = self._r[bundle]
-        idx = starts + self.n_back
+        idx = starts[order] + self.n_back
         m = r[idx]
         with np.errstate(all="ignore"):  # a non-finite log raises below
-            for s in range(1, K):
-                m = r[idx + s] @ m
+            for s, n in enumerate(live, start=1):
+                if n == len(idx):
+                    m = r[idx + s] @ m
+                else:
+                    m[:n] = r[idx[:n] + s] @ m[:n]
             logs = np.log(_sv(m, top=bundle == "e"))
+        if not one:
+            logs[order] = logs.copy()   # back to the order of ``starts``
         finite = np.isfinite(logs)
         if not finite.all():
-            t = int(starts[~finite.all(axis=1)][0])
+            i = int(np.argmin(finite.all(axis=1)))
+            t = int(starts[i])
+            end = t + int(np.broadcast_to(gs, starts.shape)[i])
             raise SingularRestrictionError(
-                f"restricted product vanished or overflowed on the window [{t}, {t + K})")
+                f"restricted product vanished or overflowed on the window [{t}, {end})")
         return logs
 
     def full_e_logs(self, n_max):
@@ -251,16 +273,13 @@ def log_norm_blocks(system, x, splitting, bundle, K, l, r, direction="fwd"):
     span = l * K + r
     if direction == "fwd":
         data = OrbitData(system, x, splitting, n_fwd=span)
-        starts = [j * K + r for j in range(l)]
-        rem_start = 0
+        first = 0
     else:
         data = OrbitData(system, x, splitting, n_fwd=0, n_back=span)
-        starts = [j * K for j in range(-l, 0)]
-        rem_start = -span
-    blocks = [float(v) for v in data.block_logs(bundle, starts, K)[:, 0]]
-    if r > 0:
-        blocks.insert(0, float(data.block_logs(bundle, [rem_start], r)[0, 0]))
-    return blocks
+        first = -span
+    starts = [first] * (r > 0) + [first + r + j * K for j in range(l)]
+    lengths = [r] * (r > 0) + [K] * l
+    return [float(v) for v in data.block_logs(bundle, starts, lengths)[:, 0]]
 
 
 @dataclass(frozen=True)
@@ -335,15 +354,6 @@ class LyapunovSpectrum:
     stable_index: int
     horizon: int
     values: tuple  # all d per-direction values, ascending, before merging
-
-    def to_dict(self):
-        return {
-            "exponents": list(self.exponents),
-            "multiplicities": list(self.multiplicities),
-            "stable_index": self.stable_index,
-            "horizon": self.horizon,
-            "values": list(self.values),
-        }
 
 
 def _qr_logs(prods):

@@ -130,12 +130,15 @@ class _BlockTables:
         self._c2_suf = np.flip(np.maximum.accumulate(np.flip(c2, 0), 0), 0)
 
         if self.invertible:
+            # backward F averages: (sum_{j<=l} block at -jK + remainder of
+            # length r at -(lK+r)) / (lK+r)
             block_fb = data.block_logs("f", [-j * K for j in range(1, L + 1)], K)
+            rs = np.arange(1, K)
+            rem = data.block_logs("f", (-(ls[:, None] * K + rs)).ravel(),
+                                  np.tile(rs, L))
             b_num = np.empty((L, K, B))
             b_num[:, 0, :] = np.cumsum(block_fb, axis=0)
-            for r in range(1, K):
-                rem = data.block_logs("f", [-(l * K + r) for l in ls], r)
-                b_num[:, r, :] = b_num[:, 0, :] + rem
+            b_num[:, 1:, :] = b_num[:, :1, :] + rem.reshape(L, K - 1, B)
             b_val = b_num / steps
             self._b_suf = np.flip(np.minimum.accumulate(np.flip(b_val, 0), 0), 0).min(axis=1)
         else:

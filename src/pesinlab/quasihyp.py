@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import systems as dyn
 from .cocycle import OrbitData, _chord, _principal_angles
 from .errors import DimensionMismatchError
 
@@ -132,35 +131,23 @@ class QuasiHypCertificate:
         }
 
 
-def _piece_logs(system, x, splitting, partition):
-    """Per-piece E log norms and F log minimal norms along the segment."""
-    times = np.asarray(partition.times)
-    starts, gaps = times[:-1], np.diff(times)
-    data = OrbitData(system, np.asarray(x, dtype=float)[None, :], splitting,
-                     n_fwd=int(times[-1]))
-    a = np.empty(len(gaps))
-    b = np.empty(len(gaps))
-    for g in np.unique(gaps):
-        sel = np.flatnonzero(gaps == g)
-        st = starts[sel].tolist()
-        a[sel] = data.block_logs("e", st, int(g))[:, 0]
-        b[sel] = data.block_logs("f", st, int(g))[:, 0]
-    return a, b
-
-
 def check_quasi_hyperbolic(system, x, n, splitting_at_x, zeta, partition):
     """Evaluate the three segment inequalities over the given partition.
 
-    The splitting is carried along the orbit by the derivative; pieces are
-    measured between consecutive partition times.
+    The splitting is re-evaluated at each orbit point (it must be
+    Df-invariant); each piece's E and F log norms are measured between
+    consecutive partition times.
     """
     if not zeta > 0.0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} steps, segment has {n}")
-    a, b = _piece_logs(system, x, splitting_at_x, partition)
-    times = np.asarray(partition.times, dtype=float)
+    times = np.asarray(partition.times)
     gaps = np.diff(times)
+    data = OrbitData(system, np.asarray(x, dtype=float)[None, :], splitting_at_x,
+                     n_fwd=n)
+    a = data.block_logs("e", times[:-1], gaps)[:, 0]
+    b = data.block_logs("f", times[:-1], gaps)[:, 0]
 
     prefix = np.cumsum(a) / times[1:]
     suffix = np.cumsum(b[::-1])[::-1] / (times[-1] - times[:-1])
@@ -175,36 +162,30 @@ def check_quasi_hyperbolic(system, x, n, splitting_at_x, zeta, partition):
     )
 
 
-def check_qh_pseudo_orbit(system, segments, zeta, e, delta, k, K):
-    """Pseudo-orbit check: every segment certified, consecutive gaps < delta.
+def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
+    """Pseudo-orbit check: every segment certified, every seam gap < delta.
 
-    Each segment (x_i, n_i, splitting_i) is checked against its canonical
-    partition at (k, K); e defaults to (k+1)K, the canonical gap bound, and
-    segments whose partition exceeds e fail.  Returns (ok, report); the
-    report names the first failing segment and the first seam (gap between
-    segment i's end and segment i+1's start) at least delta, each None when
-    none fails.
+    Each segment of the :class:`~pesinlab.shadow.PseudoOrbit` is checked
+    from its first point against its canonical partition at (k, K); e
+    defaults to (k+1)K, the canonical gap bound, and segments whose
+    partition exceeds e fail.  The seams are ``pseudo.gaps``, so a periodic
+    window's last seam wraps to the first segment; delta defaults to
+    ``pseudo.delta``.  Returns (ok, report); the report names the first
+    failing segment and the first seam at least delta, each None when none
+    fails.
     """
-    if not segments:
-        raise ValueError("need at least one segment")
     if e is None:
         e = (k + 1) * K
-    seg_pass = []
-    certs = []
-    for x, n, splitting in segments:
-        part = canonical_partition(n, k, K)
-        cert = check_quasi_hyperbolic(system, x, n, splitting, zeta, part)
-        certs.append(cert)
-        seg_pass.append(cert.passed and cert.e <= e)
-
-    gap_sizes = []
-    for (x, n, _), (x_next, _, _) in zip(segments, segments[1:]):
-        end = dyn.orbit_points(system, np.asarray(x, dtype=float), n)[-1]
-        gap_sizes.append(float(dyn.torus_distance(end, np.asarray(x_next, dtype=float))))
-    gap_ok = [g < delta for g in gap_sizes]
+    if delta is None:
+        delta = pseudo.delta
+    certs = [check_quasi_hyperbolic(system, seg[0], n, splitting, zeta,
+                                    canonical_partition(n, k, K))
+             for seg, n in zip(pseudo.segments, pseudo.n_list)]
+    seg_pass = [c.passed and c.e <= e for c in certs]
+    gap_sizes = list(pseudo.gaps)
 
     failed_segment = next((i for i, ok in enumerate(seg_pass) if not ok), None)
-    failed_seam = next((i for i, ok in enumerate(gap_ok) if not ok), None)
+    failed_seam = next((i for i, g in enumerate(gap_sizes) if not g < delta), None)
     ok = failed_segment is None and failed_seam is None
     report = {
         "passed": ok,

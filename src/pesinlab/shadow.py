@@ -443,14 +443,13 @@ def estimate_shadowing_constant(system, deltas, trials, length_range,
 
 
 def periodic_density_probe(system, sample, n_max, epsilon, gap_cap=0.05,
-                           domain=None, tol=1e-12, return_report=False):
+                           tol=1e-12, return_report=False):
     """Fraction of sample points with a certified periodic orbit within epsilon.
 
     Each point's best recurrence up to n_max seeds close_orbit; success
     means the solver converged and the periodic point lies within epsilon
-    of the sample point.  Points outside ``domain`` (a predicate) or with
-    no recurrence gap below gap_cap are skipped: they leave the denominator
-    rather than count as failures.
+    of the sample point.  Points with no recurrence gap up to gap_cap are
+    skipped: they leave the denominator rather than count as failures.
     """
     sample = [np.asarray(x, dtype=float) for x in sample]
     if not sample:
@@ -459,9 +458,6 @@ def periodic_density_probe(system, sample, n_max, epsilon, gap_cap=0.05,
         raise ValueError(f"need n_max >= 1, got {n_max}")
     outcomes = []
     for x in sample:
-        if domain is not None and not domain(x):
-            outcomes.append("skipped")
-            continue
         orbit = dyn.orbit_points(system, x, int(n_max))
         dists = dyn.torus_distance(orbit[1:], x)
         n_best = int(np.argmin(dists)) + 1

@@ -79,6 +79,23 @@ def test_qh_check_pass_and_fail(tmp_path, capsys, cat, p24):
     assert rep["passed"] is False
 
 
+def test_qh_check_periodic_wrap_seam(tmp_path, capsys, cat):
+    # seam 0 is exact; the wrap seam back to the first start is 0.2302
+    x0 = np.array([0.1234, 0.777])
+    mid = dyn.orbit_points(cat, x0, 12)[-1]
+    po = make_pseudo_orbit(cat, [x0, mid], [12, 12], periodic=True)
+    path = tmp_path / "cycle.txt"
+    write_pseudo_orbit(po, path)
+    rc = main(["qh-check", "--system", "cat", "--file", str(path),
+               "--zeta", "0.5", "--delta", "1e-6"])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] is False
+    assert rep["segment_pass"] == [True, True]
+    assert rep["gaps"][0] == 0 and rep["gaps"][1] == pytest.approx(0.2302, abs=1e-4)
+    assert rep["first_failed_seam"] == 1 and rep["first_failed_segment"] is None
+
+
 def test_shadow_command_and_exit_codes(tmp_path, capsys, cat, p24):
     rng = np.random.default_rng(1)
     x0 = rng.random(2)

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +91,77 @@ def test_orbit_data_matches_dense_products(p24, p24_split):
             math.log(operator_norm(prod, p24_split.e_basis)), abs=1e-10)
         assert back_f[b] == pytest.approx(
             math.log(minimal_norm(prod, p24_split.f_basis)), abs=1e-10)
+
+
+_WINDOW_SYSTEMS = {name: dyn.make_system(name) for name in ("cat", "product24", "circle-g")}
+# circle-g is 1-D and has no splitting; E = F = its tangent line, given as
+# the orthonormal frames OrbitData reads, keeps its varying 1x1 cocycle
+_WHOLE_LINE = SimpleNamespace(dim=1, _frames=dict.fromkeys(
+    "ef", (np.ones((1, 1)), np.zeros((1, 0)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_WINDOW_SYSTEMS)), batch=st.sampled_from([1, 3]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       windows=st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                        min_size=1, max_size=10))
+def test_block_logs_mixed_lengths_match_single_windows(name, batch, seed, windows):
+    system = _WINDOW_SYSTEMS[name]
+    split = _WHOLE_LINE if system.dim == 1 else dyn.reference_splitting(system)
+    xs = np.random.default_rng(seed).random((batch, system.dim))
+    data = OrbitData(system, xs, split, n_fwd=24, n_back=12)
+    starts, lengths = zip(*windows)
+    for bundle in ("e", "f"):
+        logs = data.block_logs(bundle, starts, lengths)
+        assert logs.shape == (len(windows), batch)
+        for row, (t, g) in zip(logs, windows):
+            assert np.array_equal(row, data.block_logs(bundle, [t], g)[0])
+
+
+@pytest.mark.parametrize("starts, lengths", [
+    ([0], 0), ([0, 1], [3, 0]), ([8], 3), ([0, 8], [2, 3]), ([-5], [2]), ([0, 1], [3]),
+])
+def test_block_logs_reject_empty_and_out_of_horizon_windows(cat, cat_split,
+                                                            starts, lengths):
+    data = OrbitData(cat, np.array([[0.2, 0.7]]), cat_split, n_fwd=10, n_back=4)
+    with pytest.raises(ValueError, match="window lengths|horizon"):
+        data.block_logs("e", starts, lengths)
+
+
+def _piece_logs_by_length(system, x, splitting, partition):
+    """Per-piece E and F log norms with one block_logs call per gap length:
+    check_quasi_hyperbolic's reading before windows carried their own
+    lengths."""
+    times = np.asarray(partition.times)
+    starts, gaps = times[:-1], np.diff(times)
+    data = OrbitData(system, np.asarray(x, dtype=float)[None, :], splitting,
+                     n_fwd=int(times[-1]))
+    a = np.empty(len(gaps))
+    b = np.empty(len(gaps))
+    for g in np.unique(gaps):
+        sel = np.flatnonzero(gaps == g)
+        at = starts[sel].tolist()
+        a[sel] = data.block_logs("e", at, int(g))[:, 0]
+        b[sel] = data.block_logs("f", at, int(g))[:, 0]
+    return a, b
+
+
+@pytest.mark.parametrize("k, K", [(2, 1), (2, 3)])
+def test_quasi_hyperbolic_slacks_match_per_length_reading(p24, p24_split, k, K):
+    # criterion 07's segment lengths 2kK..40 (k = 2, K = 1), and K = 3
+    rng = np.random.default_rng(77)
+    zeta = 0.4
+    for n in range(2 * k * K, 41):
+        x = rng.random(3)
+        part = canonical_partition(n, k, K)
+        a, b = _piece_logs_by_length(p24, x, p24_split, part)
+        times = np.asarray(part.times, dtype=float)
+        gaps = np.diff(times)
+        cert = check_quasi_hyperbolic(p24, x, n, p24_split, zeta, part)
+        assert cert.slack_prefix == tuple(-zeta - np.cumsum(a) / times[1:])
+        assert cert.slack_suffix == tuple(
+            np.cumsum(b[::-1])[::-1] / (times[-1] - times[:-1]) - zeta)
+        assert cert.slack_ratio == tuple(-2.0 * zeta - (a - b) / gaps)
 
 
 def _cat_composite(e_basis, f_basis):
@@ -614,6 +686,11 @@ def test_block_logs_raise_when_a_window_product_overflows(p24, p24_split):
     for bundle in ("e", "f"):
         with pytest.raises(SingularRestrictionError, match=r"overflowed on the window \[0, 800\)"):
             data.block_logs(bundle, [0], 800)
+        # a mixed-length call names the first overflowing window by its own length
+        with pytest.raises(SingularRestrictionError, match=r"overflowed on the window \[0, 800\)"):
+            data.block_logs(bundle, [0, 0], [10, 800])
+        with pytest.raises(SingularRestrictionError, match=r"overflowed on the window \[0, 750\)"):
+            data.block_logs(bundle, [0, 0, 0], [10, 750, 800])
 
 
 def test_splitting_frames_computed_once(p24_split):

@@ -16,6 +16,7 @@ from pesinlab.quasihyp import (
     check_quasi_hyperbolic,
     subspace_gap,
 )
+from pesinlab.shadow import make_pseudo_orbit
 
 from conftest import LOG_U
 
@@ -126,8 +127,8 @@ def test_concatenation_refinement(cat, cat_split, p24, p24_split):
 def test_pseudo_orbit_exact_split(cat, cat_split):
     x0 = np.array([0.2, 0.7])
     mid = dyn.orbit_points(cat, x0, 20)[-1]
-    segs = [(x0, 20, cat_split), (mid, 20, cat_split)]
-    ok, rep = check_qh_pseudo_orbit(cat, segs, 0.5, None, 1e-9, k=2, K=3)
+    pseudo = make_pseudo_orbit(cat, [x0, mid], [20, 20], periodic=False)
+    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-9, k=2, K=3)
     assert ok and rep["passed"]
     assert rep["e"] == 9  # defaults to (k+1)K
     assert rep["gaps"] == [0.0]
@@ -137,13 +138,13 @@ def test_pseudo_orbit_exact_split(cat, cat_split):
 def test_pseudo_orbit_gap_detected(cat, cat_split):
     x0 = np.array([0.2, 0.7])
     mid = dyn.orbit_points(cat, x0, 20)[-1]
-    segs = [(x0, 20, cat_split), (dyn.wrap(mid + 2e-9), 20, cat_split)]
-    ok, rep = check_qh_pseudo_orbit(cat, segs, 0.5, None, 1e-9, k=2, K=3)
+    pseudo = make_pseudo_orbit(cat, [x0, dyn.wrap(mid + 2e-9)], [20, 20], periodic=False)
+    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-9, k=2, K=3)
     assert not ok and rep["first_failed_seam"] == 0
     assert rep["first_failed_segment"] is None
     assert rep["gaps"][0] > 1e-9
-    with pytest.raises(ValueError):
-        check_qh_pseudo_orbit(cat, [], 0.5, None, 1e-9, k=2, K=3)
+    with pytest.raises(ValueError, match="at least one segment"):
+        make_pseudo_orbit(cat, [], [], periodic=False)
 
 
 def test_pseudo_orbit_segment_failure_reported(p24, p24_split):
@@ -151,8 +152,8 @@ def test_pseudo_orbit_segment_failure_reported(p24, p24_split):
     good = np.array([0.0, 0.3, 0.6])
     half = np.array([0.5, 0.3, 0.6])
     end = dyn.orbit_points(p24, good, 24)[-1]
-    segs = [(good, 24, p24_split), (half, 24, p24_split)]
-    ok, rep = check_qh_pseudo_orbit(p24, segs, 0.4, None,
+    pseudo = make_pseudo_orbit(p24, [good, half], [24, 24], periodic=False)
+    ok, rep = check_qh_pseudo_orbit(p24, pseudo, p24_split, 0.4, None,
                                     float(dyn.torus_distance(end, half)) + 1e-9,
                                     k=2, K=3)
     assert not ok
@@ -162,14 +163,31 @@ def test_pseudo_orbit_segment_failure_reported(p24, p24_split):
 
 def test_pseudo_orbit_seam_failure_not_a_segment(cat, cat_split):
     # both segments pass; only seam 0 (gap 0.2236) exceeds delta
-    segs = [(np.array([0.1, 0.2]), 10, cat_split),
-            (np.array([0.5, 0.5]), 10, cat_split)]
-    ok, rep = check_qh_pseudo_orbit(cat, segs, 0.4, None, 1e-3, k=1, K=1)
+    pseudo = make_pseudo_orbit(cat, [np.array([0.1, 0.2]), np.array([0.5, 0.5])],
+                               [10, 10], periodic=False)
+    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.4, None, 1e-3, k=1, K=1)
     assert not ok
     assert rep["segment_pass"] == [True, True]
     assert rep["gaps"][0] == pytest.approx(0.2236, abs=1e-4)
     assert rep["first_failed_seam"] == 0
     assert rep["first_failed_segment"] is None
+
+
+def test_pseudo_orbit_periodic_wrap_seam_checked(cat, cat_split):
+    # seam 0 is exact; the wrap seam from the last segment's end back to
+    # the first start (gap 0.2302) exceeds delta
+    x0 = np.array([0.1234, 0.777])
+    mid = dyn.orbit_points(cat, x0, 12)[-1]
+    pseudo = make_pseudo_orbit(cat, [x0, mid], [12, 12], periodic=True)
+    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-6, k=1, K=1)
+    assert not ok
+    assert rep["segment_pass"] == [True, True]
+    assert rep["gaps"][0] == 0.0
+    assert rep["gaps"][1] == pytest.approx(0.2302, abs=1e-4)
+    assert rep["first_failed_seam"] == 1 and rep["first_failed_segment"] is None
+    # delta=None takes the chain's own bound, which every seam is below
+    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, None, k=1, K=1)
+    assert ok and rep["delta"] == pseudo.delta
 
 
 def test_subspace_gap_oracles(cat, cat_split):

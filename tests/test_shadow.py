@@ -519,11 +519,15 @@ def test_density_probe_rational_sample(cat):
 
 
 def test_density_probe_skip_semantics(cat):
-    sample = [np.array([i / 7, j / 7]) for i in range(1, 4) for j in range(1, 3)]
+    # the rational points are periodic and recur exactly; the generic points
+    # come no closer than gap_cap to themselves within n_max steps
+    rational = [np.array([i / 7, j / 7]) for i in range(1, 4) for j in range(1, 3)]
+    generic = [np.array([0.1234, 0.777]), np.array([0.41421356, 0.73205081])]
+    sample = rational + generic
     frac, rep = periodic_density_probe(cat, sample, n_max=60, epsilon=1e-2,
-                                       domain=lambda x: x[0] < 0.3,
-                                       return_report=True)
-    assert rep["skipped"] == sum(1 for x in sample if x[0] >= 0.3)
+                                       gap_cap=1e-3, return_report=True)
+    assert rep["outcomes"][len(rational):] == ["skipped"] * len(generic)
+    assert rep["skipped"] == len(generic)
     assert frac == 1.0  # skipped points leave the denominator
     with pytest.raises(ValueError):
         periodic_density_probe(cat, [], n_max=10, epsilon=1e-2)
