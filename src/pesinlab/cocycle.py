@@ -46,6 +46,9 @@ __all__ = [
 _INVARIANCE_TOL = 1e-9
 # Rows per block of the prefix sum of step logs in OrbitData._full_logs.
 _PREFIX_BLOCK = 128
+# Jacobians per row block in OrbitData.__init__: a long horizon's Jacobians
+# and their images are never all in memory at once.
+_RESTRICT_ROWS = 16384
 
 
 def _sv(m, top):
@@ -77,11 +80,14 @@ class OrbitData:
 
     Holds R_E(t) = E^T Df(f^t x) E and R_F(t) = F^T Df(f^t x) F, with E and
     F the orthonormalised bundle bases, for times t in [-n_back, n_fwd).
+    They are formed in row blocks by two 2-D GEMMs, Df B and Q^T (Df B)
+    with Q = [B | C]: R(t) on top, bit for bit B^T (Df B), C^T Df B below.
     Restricted norms are singular values of forward products of these
     matrices: :meth:`block_logs` multiplies them over windows,
     :meth:`full_e_logs` / :meth:`full_f_logs` from time 0.  Raises
     DegenerateSplittingError when Df moves a bundle off itself by more than
-    _INVARIANCE_TOL of the largest Jacobian entry.
+    _INVARIANCE_TOL of the largest Jacobian entry, SingularRestrictionError
+    on a non-finite Jacobian.
     """
 
     def __init__(self, system, xs, splitting, n_fwd, n_back=0):
@@ -97,26 +103,30 @@ class OrbitData:
         self.n_fwd = int(n_fwd)
         self.n_back = int(n_back)
 
-        pts = dyn.orbit_many(system, xs, self.n_fwd)
-        pieces = [(slice(self.n_back, None), pts[:-1])]   # times 0..n_fwd-1
-        if self.n_back:
-            back = dyn.orbit_many_back(system, xs, self.n_back)
-            pieces.append((slice(0, self.n_back), back[:0:-1]))  # times -n_back..-1
+        pts = dyn.orbit_many(system, xs, self.n_fwd)[:-1]   # times 0..n_fwd-1
+        if self.n_back:   # times -n_back..-1 go first
+            pts = np.concatenate([dyn.orbit_many_back(system, xs, self.n_back)[:0:-1], pts])
 
         bundles = splitting._frames
-        self._r = {name: np.empty((self.n_back + self.n_fwd, self.batch)
-                                  + (b.shape[1],) * 2)
+        self._r = {name: np.empty(pts.shape[:-1] + (b.shape[1],) * 2)
                    for name, (b, _) in bundles.items()}
+        d = system.dim
+        pts = pts.reshape(-1, d)
         defect = scale = 0.0
-        for rows, at in pieces:
-            if not len(at):
-                continue
-            jac = system.jacobian_many(at)
-            scale = max(scale, float(jac.max()), -float(jac.min()))
-            for name, (b, c) in bundles.items():
-                image = jac @ b
-                self._r[name][rows] = b.T @ image
-                defect = max(defect, float(np.abs(c.T @ image).max(initial=0.0)))
+        for i in range(0, len(pts), _RESTRICT_ROWS):
+            jac = system.jacobian_many(pts[i:i + _RESTRICT_ROWS])
+            hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                row = i + int(np.argmin(np.isfinite(jac).all(axis=(1, 2))))
+                raise SingularRestrictionError(
+                    f"non-finite Jacobian at orbit time {row // self.batch - self.n_back}")
+            scale = max(scale, hi, -lo)
+            for name, (b, q) in bundles.items():
+                k = b.shape[1]
+                image = (jac.reshape(-1, d) @ b).reshape(-1, d, k)
+                out = (q.T @ image.transpose(1, 0, 2).reshape(d, -1)).reshape(d, -1, k)
+                self._r[name].reshape(-1, k, k)[i:i + len(jac)] = out[:k].swapaxes(0, 1)
+                defect = max(defect, float(np.abs(out[k:]).max(initial=0.0)))
         if defect > _INVARIANCE_TOL * scale:
             raise DegenerateSplittingError(
                 f"splitting is not Df-invariant along the orbit: defect "

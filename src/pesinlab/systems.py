@@ -552,9 +552,9 @@ class Splitting:
 
     ``e_basis`` is (d, dim E), ``f_basis`` is (d, dim F) with
     dim E + dim F = d and E, F transverse.  ``_frames`` maps 'e' and 'f' to
-    (B, C): an orthonormal basis B of the bundle and one C of its orthogonal
-    complement, read-only.  A numerically rank-deficient bundle basis raises
-    DegenerateSplittingError here, from orthonormalize.
+    (B, Q), read-only: an orthonormal basis B of the bundle and the square
+    orthogonal Q = [B | C], C spanning its complement.  A numerically
+    rank-deficient bundle basis raises DegenerateSplittingError, from orthonormalize.
     """
 
     e_basis: np.ndarray
@@ -582,9 +582,9 @@ class Splitting:
         frames = {}
         for name, basis in (("e", e), ("f", f)):
             b = orthonormalize(basis)
-            c = np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
-            b.flags.writeable = c.flags.writeable = False
-            frames[name] = b, c
+            q = np.hstack([b, np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]])
+            b.flags.writeable = q.flags.writeable = False
+            frames[name] = b, q
         object.__setattr__(self, "e_basis", e)
         object.__setattr__(self, "f_basis", f)
         object.__setattr__(self, "_frames", frames)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -294,6 +295,24 @@ def test_vanishing_window_product_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "numerical failure" in err and "vanished" in err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_non_finite_jacobian_exits_1(tmp_path, capsys, cat):
+    # the Jacobian is NaN where x0 < 0.5; the invariance check must not pass
+    # it on as NaN logs, which read as a vanished window product
+    split = dyn.reference_splitting(cat)
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+        "inverse": ["(x0 - x1) % 1.0", "(2*x1 - x0) % 1.0"],
+        "jacobian": [["2.0 + 0*sqrt(x0 - 0.5)", "1.0"], ["1.0", "1.0"]],
+        "e_basis": split.e_basis.tolist(), "f_basis": split.f_basis.tolist(),
+    }, "point": "0.6,0.7"}))
+    assert main(["classify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"numerical failure: non-finite Jacobian at orbit time -?\d+$", err)
 
 
 def test_composite_formula_injection_exits_2(tmp_path, capsys, monkeypatch):

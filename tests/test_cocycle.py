@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pesinlab import systems as dyn
+from pesinlab import cocycle, systems as dyn
 from pesinlab.cocycle import (
     _prefix_sum,
     _principal_angles,
@@ -95,9 +95,9 @@ def test_orbit_data_matches_dense_products(p24, p24_split):
 
 _WINDOW_SYSTEMS = {name: dyn.make_system(name) for name in ("cat", "product24", "circle-g")}
 # circle-g is 1-D and has no splitting; E = F = its tangent line, given as
-# the orthonormal frames OrbitData reads, keeps its varying 1x1 cocycle
+# the orthonormal frames (B, Q) OrbitData reads, keeps its varying 1x1 cocycle
 _WHOLE_LINE = SimpleNamespace(dim=1, _frames=dict.fromkeys(
-    "ef", (np.ones((1, 1)), np.zeros((1, 0)))))
+    "ef", (np.ones((1, 1)), np.ones((1, 1)))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,12 +164,12 @@ def test_quasi_hyperbolic_slacks_match_per_length_reading(p24, p24_split, k, K):
         assert cert.slack_ratio == tuple(-2.0 * zeta - (a - b) / gaps)
 
 
-def _cat_composite(e_basis, f_basis):
+def _cat_composite(e_basis, f_basis, jacobian00="2.0"):
     return dyn.make_system({
         "kind": "composite", "dim": 2,
         "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
         "inverse": ["(x0 - x1) % 1.0", "(2*x1 - x0) % 1.0"],
-        "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+        "jacobian": [[jacobian00, "1.0"], ["1.0", "1.0"]],
         "e_basis": e_basis, "f_basis": f_basis,
     })
 
@@ -678,6 +678,78 @@ def test_block_logs_raise_when_a_window_product_vanishes():
         pytest.approx([math.log(2.0), 2 * math.log(2.0), 2 * math.log(2.0)])
 
 
+def _stacked_restriction(system, xs, splitting, n_fwd, n_back):
+    """Oracle: R(t) = B^T (Df B) as stacked matmuls over the forward and the
+    backward piece of the horizon, each taken whole."""
+    pts = dyn.orbit_many(system, xs, n_fwd)
+    pieces = [(slice(n_back, None), pts[:-1])]
+    if n_back:
+        pieces.append((slice(0, n_back), dyn.orbit_many_back(system, xs, n_back)[:0:-1]))
+    out = {}
+    for name, (b, _) in splitting._frames.items():
+        out[name] = np.empty((n_back + n_fwd, len(xs)) + (b.shape[1],) * 2)
+        for rows, at in pieces:
+            out[name][rows] = b.T @ (system.jacobian_many(at) @ b)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_WINDOW_SYSTEMS)), batch=st.sampled_from([1, 3]),
+       seed=st.integers(0, 2 ** 32 - 1), n_fwd=st.integers(5, 30),
+       n_back=st.sampled_from([0, 5, 12]), rows=st.sampled_from([1, 2, 4, 16384]))
+def test_row_blocked_restriction_matches_stacked_matmuls(name, batch, seed, n_fwd,
+                                                          n_back, rows):
+    # blocks of at most 4 Jacobians put a block boundary inside each piece,
+    # some of them between the starts of one orbit time
+    system = _WINDOW_SYSTEMS[name]
+    split = _WHOLE_LINE if system.dim == 1 else dyn.reference_splitting(system)
+    xs = np.random.default_rng(seed).random((batch, system.dim))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "_RESTRICT_ROWS", rows)
+        data = OrbitData(system, xs, split, n_fwd=n_fwd, n_back=n_back)
+    want = _stacked_restriction(system, xs, split, n_fwd, n_back)
+    for bundle in ("e", "f"):
+        assert np.array_equal(data._r[bundle], want[bundle])
+
+
+def test_defect_in_a_later_row_block_is_caught(monkeypatch, cat, cat_split):
+    # the Jacobian leaves the cat matrix at one orbit point, time 10 of 12:
+    # with blocks of 4 Jacobians only the third block sees the defect
+    x = np.array([0.2, 0.7])
+    late = dyn.orbit_points(cat, x, 12)[10]
+
+    class ShearAtOnePoint(dyn.CatMap):
+        def jacobian_many(self, pts):
+            jac = super().jacobian_many(pts)
+            jac[(pts == late).all(axis=-1), 0, 1] += 0.5
+            return jac
+
+    monkeypatch.setattr(cocycle, "_RESTRICT_ROWS", 4)
+    system = ShearAtOnePoint()
+    OrbitData(system, x, cat_split, n_fwd=10)
+    with pytest.raises(DegenerateSplittingError,
+                       match=r"^splitting is not Df-invariant along the orbit: defect "
+                             r"\S+ against largest Jacobian entry 2\.000e\+00$"):
+        OrbitData(system, x, cat_split, n_fwd=12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_non_finite_jacobian_raises(monkeypatch, cat_split):
+    # sqrt(x0 - 0.5) is NaN where x0 < 0.5; Python's max would drop the NaN
+    # from the invariance check and leave NaN logs
+    system = _cat_composite(cat_split.e_basis.tolist(), cat_split.f_basis.tolist(),
+                            jacobian00="2.0 + 0*sqrt(x0 - 0.5)")
+    x = np.array([0.6, 0.7])   # x0 at times 0, 1, 2, 3: 0.6, 0.9, 0.1, 0.4
+    with pytest.raises(SingularRestrictionError, match=r"non-finite Jacobian at orbit time 2$"):
+        OrbitData(system, x, system.splitting, n_fwd=10)
+    monkeypatch.setattr(cocycle, "_RESTRICT_ROWS", 2)   # times 2 and 3 form the second block
+    with pytest.raises(SingularRestrictionError, match=r"non-finite Jacobian at orbit time 2$"):
+        OrbitData(system, x, system.splitting, n_fwd=10)
+    # x0 at times -3, -2, -1 from (0.2, 0.7): 0.4, 0.3, 0.5
+    with pytest.raises(SingularRestrictionError, match=r"non-finite Jacobian at orbit time -3$"):
+        OrbitData(system, np.array([0.2, 0.7]), system.splitting, n_fwd=0, n_back=3)
+
+
 def test_block_logs_raise_when_a_window_product_overflows(p24, p24_split):
     # at fiber 1/2 both the circle and the cat direction expand by
     # (3 + sqrt5)/2 a step: 800 steps leave the float range on E (2x2) and F
@@ -697,9 +769,10 @@ def test_splitting_frames_computed_once(p24_split):
     frames = p24_split._frames
     assert p24_split._frames is frames
     assert not p24_split.e_basis.flags.writeable and not p24_split.f_basis.flags.writeable
-    for b, c in frames.values():
-        assert not b.flags.writeable and not c.flags.writeable
-        assert np.allclose(np.hstack([b, c]).T @ np.hstack([b, c]), np.eye(3), atol=1e-15)
+    for b, q in frames.values():
+        assert not b.flags.writeable and not q.flags.writeable
+        assert np.array_equal(q[:, :b.shape[1]], b)   # Q = [B | C]
+        assert np.allclose(q.T @ q, np.eye(3), atol=1e-15)
     # two columns 1e-13 apart pass the transversality test (matrix_rank)
     # but not orthonormalize's, so the splitting itself is rejected
     e = np.array([[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0]])
