@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "OrbitData",
-    "log_norm_blocks",
     "MeanExponentReport",
     "mean_exponents",
     "mean_exponents_many",
@@ -78,16 +78,22 @@ def _sv(m, top):
 class OrbitData:
     """Restricted derivative cocycle along the orbits of a batch of points.
 
-    Holds R_E(t) = E^T Df(f^t x) E and R_F(t) = F^T Df(f^t x) F, with E and
-    F the orthonormalised bundle bases, for times t in [-n_back, n_fwd).
-    They are formed in row blocks by two 2-D GEMMs, Df B and Q^T (Df B)
-    with Q = [B | C]: R(t) on top, bit for bit B^T (Df B), C^T Df B below.
-    Restricted norms are singular values of forward products of these
-    matrices: :meth:`block_logs` multiplies them over windows,
-    :meth:`full_e_logs` / :meth:`full_f_logs` from time 0.  Raises
-    DegenerateSplittingError when Df moves a bundle off itself by more than
-    _INVARIANCE_TOL of the largest Jacobian entry, SingularRestrictionError
-    on a non-finite Jacobian.
+    Holds R_E(t) = E^T Df(f^t x) E for t in [0, n_fwd) and R_F(t) =
+    F^T Df(f^t x) F for t in [-n_back, n_fwd), E and F orthonormal bundle
+    bases: blocks read E forward and F backward.  :meth:`block_logs`
+    multiplies R over windows, :meth:`full_e_logs` / :meth:`full_f_logs`
+    from time 0.  Where every frame column has exact zeros outside one of
+    ``system.factors``, over which Df is block diagonal, each bundle is the
+    sum of its per-factor sub-bundles, restricted apart, and only F's factors
+    are orbited backward (product24: cat, no circle inverse); else the map
+    is one factor.  Operator norms are the max over E's sub-bundles, minimal
+    norms the min over F's.  R is formed in row blocks, per factor, by two
+    2-D GEMMs in its coordinates, Df B and Q^T (Df B) with Q = [B | C]: R(t)
+    on top, bit for bit B^T (Df B), C^T Df B below.  These are a one-factor
+    R's sums less exact zeros, and log is monotone, so block logs keep their
+    bits.  Raises DegenerateSplittingError when Df moves a sub-bundle off
+    itself by more than _INVARIANCE_TOL of the largest Jacobian entry,
+    SingularRestrictionError on a non-finite Jacobian.
     """
 
     def __init__(self, system, xs, splitting, n_fwd, n_back=0):
@@ -102,31 +108,40 @@ class OrbitData:
         self.batch = xs.shape[0]
         self.n_fwd = int(n_fwd)
         self.n_back = int(n_back)
+        self._first = {"e": 0, "f": -self.n_back}
 
-        pts = dyn.orbit_many(system, xs, self.n_fwd)[:-1]   # times 0..n_fwd-1
-        if self.n_back:   # times -n_back..-1 go first
-            pts = np.concatenate([dyn.orbit_many_back(system, xs, self.n_back)[:0:-1], pts])
-
-        bundles = splitting._frames
-        self._r = {name: np.empty(pts.shape[:-1] + (b.shape[1],) * 2)
-                   for name, (b, _) in bundles.items()}
-        d = system.dim
-        pts = pts.reshape(-1, d)
+        layout = tuple((s, f.dim) for f, s in system.factors)
+        if layout not in splitting._plans:
+            splitting._plans[layout] = _plan(splitting._frames, layout)
+        sizes, pieces = splitting._plans[layout]
+        self._r = {name: [np.empty((self.n_fwd - self._first[name], self.batch, k, k))
+                          for k in ks] for name, ks in sizes.items()}
         defect = scale = 0.0
-        for i in range(0, len(pts), _RESTRICT_ROWS):
-            jac = system.jacobian_many(pts[i:i + _RESTRICT_ROWS])
-            hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                row = i + int(np.argmin(np.isfinite(jac).all(axis=(1, 2))))
-                raise SingularRestrictionError(
-                    f"non-finite Jacobian at orbit time {row // self.batch - self.n_back}")
-            scale = max(scale, hi, -lo)
-            for name, (b, q) in bundles.items():
-                k = b.shape[1]
-                image = (jac.reshape(-1, d) @ b).reshape(-1, d, k)
-                out = (q.T @ image.transpose(1, 0, 2).reshape(d, -1)).reshape(d, -1, k)
-                self._r[name].reshape(-1, k, k)[i:i + len(jac)] = out[:k].swapaxes(0, 1)
-                defect = max(defect, float(np.abs(out[k:]).max(initial=0.0)))
+        for back, factor, coords, groups in pieces[:None if self.n_back else 1]:   # forward first
+            m = system if factor is None else system.factors[factor][0]
+            if back:
+                t0, pts = -self.n_back, dyn.orbit_many_back(m, xs[:, coords], self.n_back)[:0:-1]
+            else:
+                t0, pts = 0, dyn.orbit_many(m, xs[:, coords], self.n_fwd)[:-1]
+            pts = pts.reshape(-1, m.dim)
+            for i in range(0, len(pts), _RESTRICT_ROWS):
+                jac = m.jacobian_many(pts[i:i + _RESTRICT_ROWS])
+                hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
+                if not (math.isfinite(hi) and math.isfinite(lo)):
+                    row = i + int(np.argmin(np.isfinite(jac).all(axis=(1, 2))))
+                    raise SingularRestrictionError(
+                        f"non-finite Jacobian at orbit time {row // self.batch + t0}")
+                scale = max(scale, hi, -lo)
+                for s, n, b, qt, places in groups:
+                    w = b.shape[1]
+                    image = (jac[:, s:s + n, s:s + n].reshape(-1, n) @ b).reshape(-1, n, w)
+                    out = (qt @ image.transpose(1, 0, 2).reshape(n, -1)).reshape(len(qt), -1, w)
+                    for name, j, c, o, k in places:
+                        at = (t0 - self._first[name]) * self.batch + i
+                        self._r[name][j].reshape(-1, k, k)[at:at + len(jac)] = \
+                            out[o:o + k, :, c:c + k].swapaxes(0, 1)
+                        if k < n:   # a sub-bundle that fills its factor has no defect
+                            defect = max(defect, float(np.abs(out[o + k:o + n, :, c:c + k]).max()))
         if defect > _INVARIANCE_TOL * scale:
             raise DegenerateSplittingError(
                 f"splitting is not Df-invariant along the orbit: defect "
@@ -137,9 +152,9 @@ class OrbitData:
 
         ``lengths`` holds one window length g >= 1 per start, or a single
         length for every window.  Bundle 'e' gives log ||Df^g|E||, bundle
-        'f' gives log m(Df^g|F), from the product R(t+g-1)...R(t).  Shape
-        (len(starts), batch).  A window whose product vanishes or overflows
-        raises SingularRestrictionError.
+        'f' gives log m(Df^g|F), from the product R(t+g-1)...R(t); E has no
+        backward data.  Shape (len(starts), batch).  A window whose product
+        vanishes or overflows raises SingularRestrictionError.
         """
         if bundle not in ("e", "f"):
             raise ValueError(f"bundle must be 'e' or 'f', got {bundle!r}")
@@ -156,21 +171,26 @@ class OrbitData:
         g = [int(gs)] if one else gs[order]
         if g[-1] < 1:
             raise ValueError(f"window lengths must be >= 1, got {int(g[-1])}")
-        if starts.min() < -self.n_back or (starts + gs).max() > self.n_fwd:
-            raise ValueError("time outside the computed horizon")
+        first = self._first[bundle]
+        if starts.min() < first or (starts + gs).max() > self.n_fwd:
+            raise ValueError(f"time outside bundle {bundle!r}'s horizon [{first}, {self.n_fwd})")
         # live[s-1]: the number of windows longer than s
         live = [len(starts)] * (g[0] - 1) if one else \
             np.searchsorted(-g, -np.arange(1, g[0])).tolist()
-        r = self._r[bundle]
-        idx = starts[order] + self.n_back
-        m = r[idx]
+        idx = starts[order] - first
+        top = bundle == "e"
+        subs = []
         with np.errstate(all="ignore"):  # a non-finite log raises below
-            for s, n in enumerate(live, start=1):
-                if n == len(idx):
-                    m = r[idx + s] @ m
-                else:
-                    m[:n] = r[idx[:n] + s] @ m[:n]
-            logs = np.log(_sv(m, top=bundle == "e"))
+            for r in self._r[bundle]:
+                mul = np.multiply if r.shape[-1] == 1 else np.matmul
+                m = r[idx]
+                for s, n in enumerate(live, start=1):
+                    if n == len(idx):
+                        m = mul(r[idx + s], m)
+                    else:
+                        m[:n] = mul(r[idx[:n] + s], m[:n])
+                subs.append(np.log(_sv(m, top)))
+        logs = reduce(np.maximum if top else np.minimum, subs)
         if not one:
             logs[order] = logs.copy()   # back to the order of ``starts``
         finite = np.isfinite(logs)
@@ -191,62 +211,89 @@ class OrbitData:
         return self._full_logs("f", n_max)
 
     def _full_logs(self, bundle, n_max):
-        """Log norms of R(n-1)...R(0) from one running product, rescaled to
-        max-abs 1 at each step.  The largest singular value of a rescaled
-        product is at least 1; a smallest one below the least normal float
-        has lost its bits, and the caller must shorten the horizon.  A 1x1
-        rescaled product is +-1, so its logs are the prefix sums alone.
-        """
+        """Log norms of R(n-1)...R(0): per sub-bundle from one running
+        product rescaled to max-abs 1 at each step, then the max (E) or min
+        (F).  The largest singular value of a rescaled product is at least 1;
+        a smallest one below the least normal float has lost its bits, and
+        the caller must shorten the horizon.  A 1x1 rescaled product is +-1,
+        so its logs are the prefix sums alone; against one diagonal 2x2
+        product of two of them they differ by 2 eps a step of rescaling and
+        the rounding of the two prefix sums."""
         if not 0 <= n_max <= self.n_fwd:
             raise ValueError(f"n_max must lie in [0, {self.n_fwd}], got {n_max}")
-        r = self._r[bundle][self.n_back:self.n_back + n_max]
-        if r.shape[-1] == 1:
-            mags = np.abs(r[..., 0, 0])
+        top = bundle == "e"
+        subs = []
+        for r in self._r[bundle]:
+            r, k = r[len(r) - self.n_fwd:][:n_max], r.shape[-1]
+            if k == 1:
+                mags, logs = np.abs(r[..., 0, 0]), np.zeros((n_max + 1, self.batch))
+            else:
+                mats = np.empty((n_max + 1,) + r.shape[1:])
+                mats[0] = np.eye(k)
+                mags = np.empty(r.shape[:2])
+                with np.errstate(all="ignore"):   # a zero divisor raises below
+                    for t in range(n_max):
+                        m = r[t] @ mats[t]
+                        mags[t] = np.abs(m).max(axis=(-2, -1))
+                        np.divide(m, mags[t, :, None, None], out=mats[t + 1])
             if np.any(mags == 0.0):
                 raise SingularRestrictionError("restricted product vanished")
-            logs = np.zeros((n_max + 1, self.batch))
-        else:
-            mats, mags = _rescaled_products(r)
-            sv = _sv(mats, top=bundle == "e")
-            if np.any(sv < np.finfo(float).tiny):
-                raise SingularRestrictionError(
-                    f"restricted product over {n_max} steps underflows the float "
-                    "range; use a shorter horizon")
-            logs = np.log(sv)
-        logs[1:] += _prefix_sum(np.log(mags))
-        return logs
+            if k > 1:
+                sv = _sv(mats, top)
+                if np.any(sv < np.finfo(float).tiny):
+                    raise SingularRestrictionError(
+                        f"restricted product over {n_max} steps underflows the float "
+                        "range; use a shorter horizon")
+                logs = np.log(sv)
+            logs[1:] += _prefix_sum(np.log(mags))
+            subs.append(logs)
+        return reduce(np.maximum if top else np.minimum, subs)
 
 
-def _rescaled_products(r):
-    """Running products R(n-1)...R(0), n = 0..len(r), each divided by its
-    max-abs entry, and those divisors.  A 2x2 bundle along one orbit runs in
-    plain floats, where numpy's per-call overhead outweighs a 2x2 product.
-    """
-    n, batch, dim = r.shape[0], r.shape[1], r.shape[-1]
-    if dim == 2 and batch == 1:
-        p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
-        prods, mags = [(p00, p01, p10, p11)], []
-        for (a, b), (c, d) in r[:, 0].tolist():
-            m00, m01 = a * p00 + b * p10, a * p01 + b * p11
-            m10, m11 = c * p00 + d * p10, c * p01 + d * p11
-            mag = max(abs(m00), abs(m01), abs(m10), abs(m11))
-            if mag == 0.0:
-                raise SingularRestrictionError("restricted product vanished")
-            p00, p01, p10, p11 = m00 / mag, m01 / mag, m10 / mag, m11 / mag
-            prods.append((p00, p01, p10, p11))
-            mags.append(mag)
-        return np.array(prods).reshape(n + 1, 1, 2, 2), np.array(mags).reshape(n, 1)
-    mats = np.empty((n + 1, batch, dim, dim))
-    mats[0] = np.eye(dim)
-    mags = np.empty((n, batch))
-    for t in range(n):
-        m = r[t] @ mats[t]
-        mag = np.abs(m).max(axis=(-2, -1))
-        if np.any(mag == 0.0):
-            raise SingularRestrictionError("restricted product vanished")
-        np.divide(m, mag[:, None, None], out=mats[t + 1])
-        mags[t] = mag
-    return mats, mags
+def _plan(frames, layout):
+    """OrbitData's plan for bundle frames and a factor layout ((first
+    coordinate, dim), ...): the sub-bundle dimensions of each bundle, and
+    pieces (backward, factor or None for the whole map, its coordinates,
+    groups).  The first piece runs the whole map forward, the others each
+    of F's factors backward.  A frame column that is not zero outside one
+    factor makes the map one factor."""
+    owner = np.repeat(np.arange(len(layout)), [n for _, n in layout])
+    subs = {}   # bundle: [(factor, B, Q = [B | C])] in the factor's coordinates
+    for name, b in frames.items():
+        hosts = [set(owner[col != 0.0].tolist()) for col in b.T]
+        if any(len(h) != 1 for h in hosts):
+            return _plan(frames, ((0, len(owner)),))
+        subs[name] = []
+        for i, (s, n) in enumerate(layout):
+            bi = b[s:s + n, [c for c, h in enumerate(hosts) if h == {i}]]
+            if bi.size:
+                ci = np.linalg.qr(bi, mode="complete")[0][:, bi.shape[1]:]
+                subs[name].append((i, bi, np.hstack([bi, ci])))
+
+    def groups(names, factors, shift):
+        """Per factor, one pair of GEMMs for its sub-bundles: (first
+        coordinate less ``shift``, dim n, their B side by side, their Q^T
+        stacked, and (bundle, index, column, row, dim) per sub-bundle)."""
+        out = []
+        for i in factors:
+            mine = [(name, j, b, q) for name in names
+                    for j, (f, b, q) in enumerate(subs[name]) if f == i]
+            places, col = [], 0
+            for row, (name, j, b, _) in enumerate(mine):
+                places.append((name, j, col, row * layout[i][1], b.shape[1]))
+                col += b.shape[1]
+            if mine:
+                out.append((layout[i][0] - shift, layout[i][1],
+                            np.hstack([b for _, _, b, _ in mine]),
+                            np.vstack([q.T for *_, q in mine]), places))
+        return out
+
+    pieces = [(False, None, slice(None), groups("ef", range(len(layout)), 0))]
+    for i, _, _ in subs["f"]:
+        s, n = layout[i]
+        pieces.append((True, None if len(layout) == 1 else i, slice(s, s + n),
+                       groups("f", [i], s)))
+    return {name: [b.shape[1] for _, b, _ in sub] for name, sub in subs.items()}, pieces
 
 
 def _prefix_sum(a):
@@ -264,32 +311,6 @@ def _prefix_sum(a):
     offsets = np.zeros((nb,) + rest)
     np.cumsum(blocks[:-1, -1], axis=0, out=offsets[1:])
     return (blocks + offsets[:, None]).reshape((nb * _PREFIX_BLOCK,) + rest)[:n]
-
-
-def log_norm_blocks(system, x, splitting, bundle, K, l, r, direction="fwd"):
-    """Per-window log norms entering the block-averaged conditions.
-
-    Forward: a remainder window of length r at time 0 (when r > 0), then
-    windows of length K at times jK + r for j = 0..l-1.  Backward: the
-    remainder window at time -(lK + r), then windows at times jK for
-    j = -l..-1.  Bundle 'e' uses operator norms, 'f' minimal norms.  The
-    entries are in ascending time order and sum to the full numerator of
-    the corresponding averaged condition.
-    """
-    if direction not in ("fwd", "bwd"):
-        raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    if K < 1 or l < 0 or not 0 <= r < K:
-        raise ValueError(f"need K >= 1, l >= 0, 0 <= r < K; got K={K}, l={l}, r={r}")
-    span = l * K + r
-    if direction == "fwd":
-        data = OrbitData(system, x, splitting, n_fwd=span)
-        first = 0
-    else:
-        data = OrbitData(system, x, splitting, n_fwd=0, n_back=span)
-        first = -span
-    starts = [first] * (r > 0) + [first + r + j * K for j in range(l)]
-    lengths = [r] * (r > 0) + [K] * l
-    return [float(v) for v in data.block_logs(bundle, starts, lengths)[:, 0]]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ Jacobians, as read from CLI config files.
 from __future__ import annotations
 
 import ast
-import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -127,77 +126,35 @@ _G_TABLE_X = np.linspace(0.0, 1.0, 4097)
 _G_TABLE_Y = g_map_lift(_G_TABLE_X)
 
 
-# Plain-float twins of the circle functions above, for single-start orbits,
-# where numpy's per-call overhead outweighs the work.  Each repeats its array
-# twin operation for operation: Python's float % is numpy's mod, and
-# math.sin/math.cos must return np.sin/np.cos's bits.  tests/test_systems.py
-# checks both, so a numpy build whose trig differs fails there.
+# Plain-float kernels for single-start orbits, where numpy's per-call
+# overhead outweighs the work.  Each repeats its array twin operation for
+# operation: Python's float % is numpy's mod, and math.sin must return
+# np.sin's bits.  tests/test_systems.py checks both, so a numpy build whose
+# trig differs fails there.
 
 def _wrap1(x):
     r = x % 1.0
     return 0.0 if r == 1.0 else r
 
 
-def _sinpi1(t):
-    r = t % 2.0
-    sign = 1.0
-    if r > 1.0:
-        sign, r = -1.0, r - 1.0
-    if r > 0.5:
-        r = 1.0 - r
-    return sign * math.sin(math.pi * r)
-
-
-def _cospi1(t):
-    r = t % 2.0
-    if r > 1.0:
-        r = 2.0 - r
-    sign = 1.0
-    if r > 0.5:
-        sign, r = -1.0, 1.0 - r
-    return sign * math.cos(math.pi * r)
-
-
-def _g_lift1(x):
-    return x + _G_C1 * _sinpi1(2.0 * x) + _G_C2 * _sinpi1(4.0 * x)
-
-
-def _g_prime1(x):
-    return 1.0 + G_B1 * _cospi1(2.0 * x) + G_B2 * _cospi1(4.0 * x)
-
-
-def _g_map1(x):
-    return _wrap1(_g_lift1(x % 1.0))
-
-
-_G_NODES_X = _G_TABLE_X.tolist()
-_G_NODES_Y = _G_TABLE_Y.tolist()
-# The slope past the last node is 0, so y = 1.0 (what y % 1.0 gives for a
-# tiny negative y) seeds at x = 1, as np.interp does at the right end.
-_G_NODE_SLOPES = (np.diff(_G_TABLE_X) / np.diff(_G_TABLE_Y)).tolist() + [0.0]
-
-
-def _g_inverse1(y):
-    """g_inverse of one float.  The seed is np.interp's formula on the
-    node pair bracketing y (the table runs from g(0) = 0 to g(1) = 1)."""
-    y = y % 1.0
-    j = bisect.bisect_right(_G_NODES_Y, y) - 1
-    w = _G_NODE_SLOPES[j] * (y - _G_NODES_Y[j]) + _G_NODES_X[j]
-    slope = _g_prime1(w)
-    for _ in range(4):
-        w = w - (_g_lift1(w) - y) / slope
-    w = min(max(w, 0.0), 1.0)
-    if y == 0.0 or y == 0.5:
-        w = y
-    return _wrap1(w)
-
-
-def _iterate1(fn, x, n):
-    """[x, fn(x), ..., fn^n(x)] for one float x."""
-    xs = [x]
+def _g_orbit1(x, n):
+    """[x, g(x), ..., g^n(x)] for one float: g_map's step, _sinpi and wrap
+    included, as one loop of plain-float operations in the same order, since
+    a call per step would cost more than the arithmetic."""
+    xs, sin, pi = [x], math.sin, math.pi
     for _ in range(n):
-        x = fn(x)
-        xs.append(x)
+        x %= 1.0
+        r2, s2, r4, s4 = (2.0 * x) % 2.0, 1.0, (4.0 * x) % 2.0, 1.0
+        if r2 > 1.0:
+            s2, r2 = -1.0, r2 - 1.0
+        if r2 > 0.5:
+            r2 = 1.0 - r2
+        if r4 > 1.0:
+            s4, r4 = -1.0, r4 - 1.0
+        if r4 > 0.5:
+            r4 = 1.0 - r4
+        x = (x + _G_C1 * (s2 * sin(pi * r2)) + _G_C2 * (s4 * sin(pi * r4))) % 1.0
+        xs.append(0.0 if x == 1.0 else x)
     return xs
 
 
@@ -236,6 +193,15 @@ class TorusMap:
     dim: int
     name: str
     invertible: bool = True
+
+    @property
+    def factors(self):
+        """(factor map, first coordinate) pairs, in coordinate order, over
+        which the Jacobian is block diagonal; by default the map alone.  The
+        cocycle restricts and orbits backward factor by factor, so each
+        factor map must step and differentiate as the map does on its
+        coordinates: a subclass that changes either declares its own."""
+        return ((self, 0),)
 
     def step(self, p):
         return self.step_many(np.asarray(p, dtype=float)[None, :])[0]
@@ -289,8 +255,9 @@ class CatMap(TorusMap):
         return wrap(self._check(pts) @ CAT_INVERSE.T)
 
     def jacobian_many(self, pts):
-        pts = self._check(pts)
-        return np.broadcast_to(CAT_MATRIX, pts.shape[:-1] + (2, 2)).copy()
+        jac = np.empty(self._check(pts).shape[:-1] + (2, 2))
+        jac[...] = CAT_MATRIX
+        return jac
 
     def orbit(self, p, n):
         # Plain floats skip the per-step numpy overhead.  2y + z and y + z
@@ -332,10 +299,10 @@ class CircleG(TorusMap):
         return g_prime(pts)[..., None]
 
     def orbit(self, p, n):
-        return np.array(_iterate1(_g_map1, float(p[0]), n))[:, None]
+        return np.array(_g_orbit1(float(p[0]), n))[:, None]
 
-    def orbit_back(self, p, n):
-        return np.array(_iterate1(_g_inverse1, float(p[0]), n))[:, None]
+
+_CIRCLE, _CAT = CircleG(), CatMap()
 
 
 class Product24(TorusMap):
@@ -343,6 +310,7 @@ class Product24(TorusMap):
 
     dim = 3
     name = "product24"
+    factors = ((_CIRCLE, 0), (_CAT, 1))
 
     def step_many(self, pts):
         pts = self._check(pts)
@@ -370,13 +338,6 @@ class Product24(TorusMap):
     # beside the cat orbit of (x1, x2).
     def orbit(self, p, n):
         return np.column_stack((_CIRCLE.orbit(p[:1], n), _CAT.orbit(p[1:], n)))
-
-    def orbit_back(self, p, n):
-        return np.column_stack((_CIRCLE.orbit_back(p[:1], n),
-                                _CAT.orbit_back(p[1:], n)))
-
-
-_CIRCLE, _CAT = CircleG(), CatMap()
 
 
 _FORMULA_FUNCS = {
@@ -552,14 +513,15 @@ class Splitting:
 
     ``e_basis`` is (d, dim E), ``f_basis`` is (d, dim F) with
     dim E + dim F = d and E, F transverse.  ``_frames`` maps 'e' and 'f' to
-    (B, Q), read-only: an orthonormal basis B of the bundle and the square
-    orthogonal Q = [B | C], C spanning its complement.  A numerically
+    an orthonormal basis of the bundle, read-only; ``_plans`` caches the
+    cocycle's restriction plans per factor layout.  A numerically
     rank-deficient bundle basis raises DegenerateSplittingError, from orthonormalize.
     """
 
     e_basis: np.ndarray
     f_basis: np.ndarray
     _frames: dict = field(init=False, repr=False)
+    _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         e = np.atleast_2d(np.asarray(self.e_basis, dtype=float))
@@ -579,12 +541,8 @@ class Splitting:
         e.flags.writeable = f.flags.writeable = False  # _frames holds their QRs
         if np.linalg.matrix_rank(np.hstack([e, f])) != d:
             raise DegenerateSplittingError("E and F are not transverse")
-        frames = {}
-        for name, basis in (("e", e), ("f", f)):
-            b = orthonormalize(basis)
-            q = np.hstack([b, np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]])
-            b.flags.writeable = q.flags.writeable = False
-            frames[name] = b, q
+        frames = {"e": orthonormalize(e), "f": orthonormalize(f)}
+        frames["e"].flags.writeable = frames["f"].flags.writeable = False
         object.__setattr__(self, "e_basis", e)
         object.__setattr__(self, "f_basis", f)
         object.__setattr__(self, "_frames", frames)

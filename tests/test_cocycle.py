@@ -18,7 +18,6 @@ from pesinlab.cocycle import (
     OrbitData,
     alpha_constant,
     domination_upgrade_n0,
-    log_norm_blocks,
     lyapunov_spectrum,
     mean_exponents,
     mean_exponents_many,
@@ -26,6 +25,7 @@ from pesinlab.cocycle import (
     upgrade_limit_domination,
 )
 from pesinlab.errors import DegenerateSplittingError, SingularRestrictionError
+from pesinlab.pesin import PesinParams, check_block_membership_many
 from pesinlab.quasihyp import canonical_partition, check_quasi_hyperbolic
 from pesinlab.systems import orthonormalize
 
@@ -76,28 +76,31 @@ def test_orbit_data_matches_dense_products(p24, p24_split):
     full_e = data.full_e_logs(12)
     full_f = data.full_f_logs(12)
     assert full_e.shape == full_f.shape == (13, 5)
-    back_e = data.block_logs("e", [-5], 3)[0]   # window over times -5, -4, -3
-    back_f = data.block_logs("f", [-5], 3)[0]
+    fwd_e = data.block_logs("e", [2], 3)[0]     # window over times 2, 3, 4
+    back_f = data.block_logs("f", [-5], 3)[0]   # window over times -5, -4, -3
     for b, x in enumerate(xs):
         for n in (1, 4, 12):
             ne, nf = _dense_restricted(p24, x, n)
             assert full_e[n, b] == pytest.approx(math.log(ne), abs=1e-10)
             assert full_f[n, b] == pytest.approx(math.log(nf), abs=1e-10)
+        prod = np.eye(3)
+        for jac in p24.jacobian_many(dyn.orbit_points(p24, x, 5)[2:5]):
+            prod = jac @ prod
+        assert fwd_e[b] == pytest.approx(
+            math.log(operator_norm(prod, p24_split.e_basis)), abs=1e-10)
         back = dyn.orbit_points_back(p24, x, 5)
         prod = np.eye(3)
         for jac in p24.jacobian_many(back[5:2:-1]):
             prod = jac @ prod
-        assert back_e[b] == pytest.approx(
-            math.log(operator_norm(prod, p24_split.e_basis)), abs=1e-10)
         assert back_f[b] == pytest.approx(
             math.log(minimal_norm(prod, p24_split.f_basis)), abs=1e-10)
 
 
 _WINDOW_SYSTEMS = {name: dyn.make_system(name) for name in ("cat", "product24", "circle-g")}
 # circle-g is 1-D and has no splitting; E = F = its tangent line, given as
-# the orthonormal frames (B, Q) OrbitData reads, keeps its varying 1x1 cocycle
-_WHOLE_LINE = SimpleNamespace(dim=1, _frames=dict.fromkeys(
-    "ef", (np.ones((1, 1)), np.ones((1, 1)))))
+# the orthonormal frames OrbitData reads, keeps its varying 1x1 cocycle
+_WHOLE_LINE = SimpleNamespace(dim=1, _frames=dict.fromkeys("ef", np.ones((1, 1))),
+                              _plans={})
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,12 +112,12 @@ def test_block_logs_mixed_lengths_match_single_windows(name, batch, seed, window
     system = _WINDOW_SYSTEMS[name]
     split = _WHOLE_LINE if system.dim == 1 else dyn.reference_splitting(system)
     xs = np.random.default_rng(seed).random((batch, system.dim))
-    data = OrbitData(system, xs, split, n_fwd=24, n_back=12)
-    starts, lengths = zip(*windows)
-    for bundle in ("e", "f"):
+    data = OrbitData(system, xs, split, n_fwd=36, n_back=12)
+    for bundle, shift in (("e", 12), ("f", 0)):   # E has no backward data
+        starts, lengths = zip(*[(t + shift, g) for t, g in windows])
         logs = data.block_logs(bundle, starts, lengths)
         assert logs.shape == (len(windows), batch)
-        for row, (t, g) in zip(logs, windows):
+        for row, t, g in zip(logs, starts, lengths):
             assert np.array_equal(row, data.block_logs(bundle, [t], g)[0])
 
 
@@ -202,36 +205,43 @@ def test_orbit_data_single_start_matches_batch_column(name, cat_split):
     for i, x in enumerate(xs):
         one = OrbitData(system, x, split, n_fwd=30, n_back=25)
         for bundle in ("e", "f"):
-            assert np.array_equal(one._r[bundle][:, 0], batch._r[bundle][:, i])
+            for solo, many in zip(one._r[bundle], batch._r[bundle], strict=True):
+                assert np.array_equal(solo[:, 0], many[:, i])
 
 
-def test_log_norm_blocks_worked_example(p24, p24_split):
+def test_block_logs_worked_example(p24, p24_split):
     # fiber 0: ||Df|E|| = max(1/2, lambda_s) = 1/2 at every step
-    x = np.array([0.0, 0.3, 0.7])
-    vals = log_norm_blocks(p24, x, p24_split, "e", K=1, l=3, r=0)
-    assert len(vals) == 3
+    data = OrbitData(p24, np.array([0.0, 0.3, 0.7]), p24_split, n_fwd=3)
+    vals = data.block_logs("e", [0, 1, 2], 1)[:, 0]
     assert np.allclose(vals, math.log(0.5), atol=1e-12)
-    assert log_norm_blocks(p24, x, p24_split, "e", K=1, l=0, r=0) == []
+    assert data.block_logs("e", [], 1).shape == (0, 1)
 
 
-def test_log_norm_blocks_remainder_and_sum(p24, p24_split):
-    # remainder r sits at index 0; the list sums to the full window value
-    x = np.array([0.0, 0.1, 0.9])
-    vals = log_norm_blocks(p24, x, p24_split, "e", K=3, l=4, r=2)
-    assert len(vals) == 5
-    total = 3 * 4 + 2
-    assert sum(vals) == pytest.approx(total * math.log(0.5), abs=1e-10)
+def test_block_logs_remainder_and_sum(p24, p24_split):
+    # a remainder window of length 2 at time 0, then four of length 3; the
+    # windows sum to the full window value
+    data = OrbitData(p24, np.array([0.0, 0.1, 0.9]), p24_split, n_fwd=14)
+    vals = data.block_logs("e", [0, 2, 5, 8, 11], [2, 3, 3, 3, 3])
+    assert vals.shape == (5, 1)
+    assert vals.sum() == pytest.approx(14 * math.log(0.5), abs=1e-10)
 
 
-def test_log_norm_blocks_backward_direction(cat, cat_split):
-    x = np.array([0.2, 0.7])
-    vals = log_norm_blocks(cat, x, cat_split, "f", K=2, l=3, r=1, direction="bwd")
-    assert len(vals) == 4
+def test_block_logs_backward_windows(cat, cat_split):
+    # the remainder window of length 1 at time -7, then three of length 2
+    data = OrbitData(cat, np.array([0.2, 0.7]), cat_split, n_fwd=0, n_back=7)
+    vals = data.block_logs("f", [-7, -6, -4, -2], [1, 2, 2, 2])[:, 0]
     # constant cocycle: m(Df^K|F) = lambda_u^K on every block
     assert vals[0] == pytest.approx(1 * LOG_U, abs=1e-12)
     assert np.allclose(vals[1:], 2 * LOG_U, atol=1e-12)
-    with pytest.raises(ValueError):
-        log_norm_blocks(cat, x, cat_split, "f", K=2, l=3, r=1, direction="forward")
+    with pytest.raises(ValueError, match="bundle must be"):
+        data.block_logs("forward", [-2], 2)
+
+
+def test_block_logs_e_has_no_backward_data(p24, p24_split):
+    data = OrbitData(p24, np.array([0.2, 0.3, 0.7]), p24_split, n_fwd=6, n_back=6)
+    assert data.block_logs("f", [-6], 6).shape == (1, 1)
+    with pytest.raises(ValueError, match=r"bundle 'e''s horizon \[0, 6\)"):
+        data.block_logs("e", [-1], 2)
 
 
 def test_submultiplicativity_restricted(p24, p24_split):
@@ -292,10 +302,14 @@ def test_mean_exponents_fiber_half(p24, p24_split):
 
 def test_mean_exponents_fiber0_long_horizon(p24, p24_split):
     # the E product's small direction, (lambda_s / (1/2))^n, leaves the float
-    # range long before 20000 steps; the top singular value does not need it
+    # range long before 20000 steps; the top singular value does not need it,
+    # nor do E's two 1x1 sub-bundles, alone or in a batch
     rep = mean_exponents(p24, np.array([0.0, 0.3, 0.7]), p24_split,
                          K=1, horizon=20_000)
     assert rep.lambda_s_hat == pytest.approx(-LOG2, abs=1e-12)
+    xs = np.array([[0.0, 0.3, 0.7], [0.0, 0.6, 0.1]])
+    for rep in mean_exponents_many(p24, xs, p24_split, K=1, horizon=20_000):
+        assert rep.lambda_s_hat == pytest.approx(-LOG2, abs=1e-12)
 
 
 def test_mean_exponents_fiber0_long_horizon_both_rates(p24, p24_split):
@@ -545,8 +559,14 @@ def test_sv_diagonal_exact(diagonals):
 def _full_logs_loop(data, bundle, n_max):
     """The per-step loop that OrbitData._full_logs replaced, kept as its
     oracle: one numpy product, max-abs rescale and zero check per step, and
-    LAPACK singular values (the absolute value for 1x1 bundles)."""
-    r = data._r[bundle][data.n_back:]
+    LAPACK singular values (the absolute value for 1x1 bundles), per
+    sub-bundle; the max over E's sub-bundles, the min over F's."""
+    pick = np.maximum if bundle == "e" else np.minimum
+    return pick.reduce([_sub_full_logs_loop(data, r[len(r) - data.n_fwd:], bundle, n_max)
+                        for r in data._r[bundle]])
+
+
+def _sub_full_logs_loop(data, r, bundle, n_max):
     dim = r.shape[-1]
     mats = np.empty((n_max + 1, data.batch, dim, dim))
     mats[0] = np.eye(dim)
@@ -669,12 +689,13 @@ def test_block_logs_raise_when_a_window_product_vanishes():
     # E is the x1 axis, where Df = x1 = 0; every window product on E is 0
     system = _vanishing(2)
     x = np.array([0.1, 0.0])
+    data = OrbitData(system, x, system.splitting, n_fwd=5)
     with pytest.raises(SingularRestrictionError, match="vanished"):
-        log_norm_blocks(system, x, system.splitting, "e", K=1, l=3, r=0)
+        data.block_logs("e", [0, 1, 2], 1)
     with pytest.raises(SingularRestrictionError, match="vanished"):
         check_quasi_hyperbolic(system, x, 10, system.splitting, 0.4,
                                canonical_partition(10, 2, 1))
-    assert log_norm_blocks(system, x, system.splitting, "f", K=2, l=2, r=1) == \
+    assert data.block_logs("f", [0, 1, 3], [1, 2, 2])[:, 0] == \
         pytest.approx([math.log(2.0), 2 * math.log(2.0), 2 * math.log(2.0)])
 
 
@@ -686,7 +707,7 @@ def _stacked_restriction(system, xs, splitting, n_fwd, n_back):
     if n_back:
         pieces.append((slice(0, n_back), dyn.orbit_many_back(system, xs, n_back)[:0:-1]))
     out = {}
-    for name, (b, _) in splitting._frames.items():
+    for name, b in splitting._frames.items():
         out[name] = np.empty((n_back + n_fwd, len(xs)) + (b.shape[1],) * 2)
         for rows, at in pieces:
             out[name][rows] = b.T @ (system.jacobian_many(at) @ b)
@@ -709,7 +730,16 @@ def test_row_blocked_restriction_matches_stacked_matmuls(name, batch, seed, n_fw
         data = OrbitData(system, xs, split, n_fwd=n_fwd, n_back=n_back)
     want = _stacked_restriction(system, xs, split, n_fwd, n_back)
     for bundle in ("e", "f"):
-        assert np.array_equal(data._r[bundle], want[bundle])
+        # E keeps times 0.. only; each sub-bundle is one diagonal block of
+        # the whole bundle's R, and the blocks off the diagonal are 0
+        full = want[bundle][n_back if bundle == "e" else 0:]
+        a = 0
+        for sub in data._r[bundle]:
+            k = sub.shape[-1]
+            assert np.array_equal(sub, full[..., a:a + k, a:a + k])
+            assert not full[..., a:a + k, a + k:].any() and not full[..., a + k:, a:a + k].any()
+            a += k
+        assert a == full.shape[-1]
 
 
 def test_defect_in_a_later_row_block_is_caught(monkeypatch, cat, cat_split):
@@ -765,16 +795,132 @@ def test_block_logs_raise_when_a_window_product_overflows(p24, p24_split):
             data.block_logs(bundle, [0, 0, 0], [10, 750, 800])
 
 
-def test_splitting_frames_computed_once(p24_split):
+def test_splitting_frames_computed_once(p24, p24_split):
     frames = p24_split._frames
     assert p24_split._frames is frames
     assert not p24_split.e_basis.flags.writeable and not p24_split.f_basis.flags.writeable
-    for b, q in frames.values():
-        assert not b.flags.writeable and not q.flags.writeable
-        assert np.array_equal(q[:, :b.shape[1]], b)   # Q = [B | C]
-        assert np.allclose(q.T @ q, np.eye(3), atol=1e-15)
+    for b in frames.values():
+        assert not b.flags.writeable
+    # the per-factor plan is built on the first OrbitData and then reused
+    OrbitData(p24, np.array([0.2, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
+    plan = p24_split._plans[((0, 1), (1, 2))]
+    OrbitData(p24, np.array([0.4, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
+    assert p24_split._plans[((0, 1), (1, 2))] is plan
+    for back, factor, coords, groups in plan[1]:
+        for s, n, b, qt, places in groups:
+            for name, j, c, o, k in places:
+                q = qt[o:o + n].T
+                assert np.array_equal(q[:, :k], b[:, c:c + k])   # Q = [B | C]
+                assert np.allclose(q.T @ q, np.eye(n), atol=1e-15)
     # two columns 1e-13 apart pass the transversality test (matrix_rank)
     # but not orthonormalize's, so the splitting itself is rejected
     e = np.array([[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0]])
     with pytest.raises(DegenerateSplittingError, match="rank deficient"):
         dyn.Splitting(e, np.array([[0.0], [0.0], [1.0]]))
+
+
+class _OneFactorP24(dyn.Product24):
+    """product24 restricted as one factor: the whole-map oracle of the
+    per-factor restriction."""
+
+    @property
+    def factors(self):
+        return ((self, 0),)
+
+
+_ONE_FACTOR_P24 = _OneFactorP24()
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       n_back=st.sampled_from([0, 12]), rows=st.sampled_from([1, 4, 16384]),
+       windows=st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                        min_size=1, max_size=10))
+def test_factor_block_logs_match_one_factor_oracle(p24, p24_split, batch, seed, n_back,
+                                                   rows, windows):
+    xs = np.random.default_rng(seed).random((batch, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "_RESTRICT_ROWS", rows)
+        data = OrbitData(p24, xs, p24_split, n_fwd=36, n_back=n_back)
+        oracle = OrbitData(_ONE_FACTOR_P24, xs, p24_split, n_fwd=36, n_back=n_back)
+    assert [r.shape[-1] for r in data._r["e"]] == [1, 1]
+    assert [r.shape[-1] for r in oracle._r["e"]] == [2]
+    for bundle in ("e", "f"):
+        shift = 12 if bundle == "e" or not n_back else 0
+        starts, lengths = zip(*[(t + shift, g) for t, g in windows])
+        assert np.array_equal(data.block_logs(bundle, starts, lengths),
+                              oracle.block_logs(bundle, starts, lengths))
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_factor_full_logs_within_prefix_sum_bound(p24, p24_split, batch):
+    # two 1x1 prefix sums against the oracle's diagonal 2x2 running product:
+    # 2 eps a step of rescaling, and the rounding of both prefix sums
+    n = 3000
+    xs = np.random.default_rng(21).random((batch, 3))
+    xs[0, 0] = 0.0
+    data = OrbitData(p24, xs, p24_split, n_fwd=n)
+    oracle = OrbitData(_ONE_FACTOR_P24, xs, p24_split, n_fwd=n)
+    steps = np.abs(np.log(np.abs(np.stack([r[..., 0, 0] for r in data._r["e"]])))).max(axis=0)
+    size = np.zeros((n + 1, batch))
+    size[1:] = np.cumsum(steps, axis=0)
+    m = np.arange(n + 1)[:, None]
+    bound = 2 * m * _EPS + 2 * (cocycle._PREFIX_BLOCK + m / cocycle._PREFIX_BLOCK) * _EPS * size
+    assert np.all(np.abs(data.full_e_logs(n) - oracle.full_e_logs(n)) <= bound)
+    assert np.array_equal(data.full_f_logs(n), oracle.full_f_logs(n))
+
+
+def test_rotated_e_basis_takes_one_factor_path(p24, p24_split):
+    split = _rotated_p24_split(0.3)
+    xs = np.random.default_rng(22).random((60, 3))
+    data = OrbitData(p24, xs, split, n_fwd=4, n_back=4)
+    assert [r.shape[-1] for r in data._r["e"]] == [2]
+    params = PesinParams(K=1, zeta=0.4, k=3)
+    turned = check_block_membership_many(p24, xs, split, params, 60)
+    ref = check_block_membership_many(p24, xs, p24_split, params, 60)
+    for a, b in zip(turned, ref, strict=True):
+        for key in ("slack_contraction", "slack_expansion", "slack_domination"):
+            assert abs(getattr(a, key) - getattr(b, key)) <= 1e-12
+
+
+class _ShearedCat(dyn.CatMap):
+    def jacobian_many(self, pts):
+        jac = super().jacobian_many(pts)
+        jac[..., 0, 1] += 0.5
+        return jac
+
+
+class _ShearedP24(dyn.Product24):
+    """product24 with its cat block sheared: F leaves itself within the cat
+    factor, forward through the product and backward through the factor."""
+
+    factors = ((dyn.CircleG(), 0), (_ShearedCat(), 1))
+
+    def jacobian_many(self, pts):
+        jac = super().jacobian_many(pts)
+        jac[..., 1, 2] += 0.5
+        return jac
+
+
+def test_defect_within_a_factor_is_caught(p24_split):
+    x = np.array([0.2, 0.3, 0.7])
+    with pytest.raises(DegenerateSplittingError, match="invariant"):
+        OrbitData(_ShearedP24(), x, p24_split, n_fwd=5)
+    with pytest.raises(DegenerateSplittingError, match="invariant"):
+        OrbitData(_ShearedP24(), x, p24_split, n_fwd=0, n_back=5)
+
+
+def test_non_finite_circle_jacobian_names_its_time(p24, p24_split):
+    xs = np.random.default_rng(23).random((3, 3))
+    at = dyn.orbit_points(p24, xs[1], 4)[3, 0]
+
+    class NanAtOnePoint(dyn.Product24):
+        def jacobian_many(self, pts):
+            jac = super().jacobian_many(pts)
+            jac[pts[..., 0] == at, 0, 0] = np.nan
+            return jac
+
+    for batch in (xs[1:2], xs):
+        with pytest.raises(SingularRestrictionError,
+                           match=r"non-finite Jacobian at orbit time 3$"):
+            OrbitData(NanAtOnePoint(), batch, p24_split, n_fwd=10, n_back=10)
