@@ -3,169 +3,21 @@
 Block certificates over orbit windows, quasi-hyperbolic partitions of long
 segments, periodic shadowing of pseudo-orbits, and specification-style
 gluing of orbit pieces into approximating periodic measures.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateSplittingError,
-    DimensionMismatchError,
-    GeometryError,
-    NotInvertibleError,
-    PesinLabError,
-    PseudoOrbitFormatError,
-    SingularRestrictionError,
-    UnresolvedTransitionError,
-    UnsupportedSystemError,
-)
-from .systems import (
-    CatMap,
-    CircleG,
-    CompositeMap,
-    Product24,
-    Splitting,
-    TorusMap,
-    make_system,
-    orbit_points,
-    orbit_points_back,
-    reference_splitting,
-    torus_diff,
-    torus_distance,
-    wrap,
-)
-from .cocycle import (
-    LyapunovSpectrum,
-    MeanExponentReport,
-    OrbitData,
-    alpha_constant,
-    domination_upgrade_n0,
-    lyapunov_spectrum,
-    mean_exponents,
-    mean_exponents_many,
-    subbundle_angle,
-    upgrade_limit_domination,
-)
-from .pesin import (
-    BlockCertificate,
-    BlockGeometry,
-    HyperbolicityBudget,
-    PesinParams,
-    block_geometry_product24,
-    budget_from_inputs,
-    check_block_membership,
-    check_block_membership_many,
-    mean_hyperbolicity_degree,
-    min_block_index,
-    min_block_scan_product24,
-)
-from .quasihyp import (
-    PartitionScheme,
-    QuasiHypCertificate,
-    canonical_partition,
-    check_qh_pseudo_orbit,
-    check_quasi_hyperbolic,
-    subspace_gap,
-)
-from .shadow import (
-    PseudoOrbit,
-    ShadowResult,
-    ShadowingConstants,
-    close_orbit,
-    estimate_shadowing_constant,
-    make_pseudo_orbit,
-    periodic_density_probe,
-    read_pseudo_orbit,
-    solve_shadow,
-    verify_shadowing,
-    write_pseudo_orbit,
-)
-from .specmeas import (
-    Cover,
-    EmpiricalMeasure,
-    GluePlan,
-    TransitionTable,
-    approximate_invariant_measure,
-    build_cover,
-    glue_segments,
-    measure_csv,
-    specification_shadow,
-    transition_table_csv,
-    transition_times,
-    weak_star_distance,
-)
+from . import cocycle, errors, pesin, quasihyp, shadow, specmeas, systems
+from .errors import *
+from .systems import *
+from .cocycle import *
+from .pesin import *
+from .quasihyp import *
+from .shadow import *
+from .specmeas import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockCertificate",
-    "BlockGeometry",
-    "CatMap",
-    "CircleG",
-    "CompositeMap",
-    "ConvergenceError",
-    "Cover",
-    "DegenerateSplittingError",
-    "DimensionMismatchError",
-    "EmpiricalMeasure",
-    "GeometryError",
-    "GluePlan",
-    "HyperbolicityBudget",
-    "LyapunovSpectrum",
-    "MeanExponentReport",
-    "NotInvertibleError",
-    "OrbitData",
-    "PartitionScheme",
-    "PesinLabError",
-    "PesinParams",
-    "Product24",
-    "PseudoOrbit",
-    "PseudoOrbitFormatError",
-    "QuasiHypCertificate",
-    "ShadowResult",
-    "ShadowingConstants",
-    "SingularRestrictionError",
-    "Splitting",
-    "TorusMap",
-    "TransitionTable",
-    "UnresolvedTransitionError",
-    "UnsupportedSystemError",
-    "alpha_constant",
-    "approximate_invariant_measure",
-    "block_geometry_product24",
-    "budget_from_inputs",
-    "build_cover",
-    "canonical_partition",
-    "check_block_membership",
-    "check_block_membership_many",
-    "check_qh_pseudo_orbit",
-    "check_quasi_hyperbolic",
-    "close_orbit",
-    "domination_upgrade_n0",
-    "estimate_shadowing_constant",
-    "glue_segments",
-    "lyapunov_spectrum",
-    "make_pseudo_orbit",
-    "make_system",
-    "mean_exponents",
-    "mean_exponents_many",
-    "mean_hyperbolicity_degree",
-    "measure_csv",
-    "min_block_index",
-    "min_block_scan_product24",
-    "orbit_points",
-    "orbit_points_back",
-    "periodic_density_probe",
-    "read_pseudo_orbit",
-    "reference_splitting",
-    "solve_shadow",
-    "specification_shadow",
-    "subbundle_angle",
-    "subspace_gap",
-    "torus_diff",
-    "torus_distance",
-    "transition_table_csv",
-    "transition_times",
-    "upgrade_limit_domination",
-    "verify_shadowing",
-    "weak_star_distance",
-    "wrap",
-]
+__all__ = (errors.__all__ + systems.__all__ + cocycle.__all__ + pesin.__all__
+           + quasihyp.__all__ + shadow.__all__ + specmeas.__all__)

@@ -80,7 +80,3 @@ def csv_text(header, rows) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(csv_text(header, rows))

@@ -76,6 +76,20 @@ def _point_rows(value):
     return np.asarray(rows, dtype=float)
 
 
+def _finite(flag, values):
+    """``values`` as a float array; a NaN or infinite coordinate is bad input."""
+    x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{flag} has a non-finite coordinate")
+    return x
+
+
+def _fiber(opt):
+    fiber = float(opt["fiber"])
+    _finite("--fiber", fiber)
+    return fiber % 1.0
+
+
 def _positive_int(name, value):
     value = int(value)
     if value < 1:
@@ -93,7 +107,7 @@ def _resolve_point(opt, system):
     """One base point from --point / --fiber / the per-dimension default."""
     d = system.dim
     if opt.get("point") is not None:
-        x = np.asarray(_float_list(opt["point"]), dtype=float)
+        x = _finite("--point", _float_list(opt["point"]))
         if x.shape != (d,):
             raise ValueError(f"--point needs {d} coordinates, got {x.size}")
         return dyn.wrap(x)
@@ -101,7 +115,7 @@ def _resolve_point(opt, system):
     if opt.get("fiber") is not None:
         if d < 2:
             raise ValueError("--fiber needs a system with a fiber coordinate")
-        x[0] = float(opt["fiber"]) % 1.0
+        x[0] = _fiber(opt)
     return x
 
 
@@ -119,7 +133,7 @@ def cmd_exponents(opt):
         rng = np.random.default_rng([int(opt["seed"]), 0])
         pts = rng.random((samples, system.dim))
         if opt.get("fiber") is not None:
-            pts[:, 0] = float(opt["fiber"]) % 1.0
+            pts[:, 0] = _fiber(opt)
         points = list(pts)
     rows = []
     for s, x in enumerate(points):
@@ -134,7 +148,7 @@ def cmd_exponents(opt):
 def _classify_points(opt, system):
     grid = int(opt["grid"])
     if opt.get("points") is not None:
-        pts = np.atleast_2d(np.loadtxt(opt["points"], delimiter=",", ndmin=2))
+        pts = _finite("--points", np.loadtxt(opt["points"], delimiter=",", ndmin=2))
         if pts.shape[1] != system.dim:
             raise ValueError(
                 f"points file has {pts.shape[1]} columns, system needs {system.dim}")
@@ -197,7 +211,7 @@ def cmd_partition(opt):
     K = _positive_int("--K", _require(opt, "K", "--K"))
     part = quasihyp.canonical_partition(n, k, K)
     return dumps({"n": n, "k": k, "K": K, "m": part.m,
-                  "max_gap": part.max_gap, "times": part.to_list()}) + "\n"
+                  "max_gap": part.max_gap, "times": list(part.times)}) + "\n"
 
 
 def cmd_qh_check(opt):
@@ -241,7 +255,7 @@ def cmd_glue(opt):
     lo, hi = int(opt["len_min"]), int(opt["len_max"])
 
     starts = rng.random((m, d)) if opt.get("starts") is None \
-        else _point_rows(opt["starts"])
+        else _finite("--starts", _point_rows(opt["starts"]))
     lengths = rng.integers(lo, hi + 1, size=m) if opt.get("lengths") is None \
         else np.asarray(_int_list(opt["lengths"]))
     if starts.shape != (m, d) or lengths.shape != (m,):

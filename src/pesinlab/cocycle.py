@@ -34,10 +34,6 @@ __all__ = [
     "mean_exponents_many",
     "LyapunovSpectrum",
     "lyapunov_spectrum",
-    "subbundle_angle",
-    "alpha_constant",
-    "upgrade_limit_domination",
-    "domination_upgrade_n0",
 ]
 
 
@@ -454,83 +450,3 @@ def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
     stable = sum(1 for e in exps if e < 0.0)  # index of the last negative exponent
     return LyapunovSpectrum(exps, mults, stable, horizon, tuple(float(v) for v in values))
 
-
-def _chord(theta):
-    """|u - v| for unit vectors at angle theta; 2 sin(theta/2) keeps the bits
-    of small angles that sqrt(2 - 2 cos theta) cancels away."""
-    return 2.0 * math.sin(0.5 * theta)
-
-
-def _orth(a):
-    """Orthonormal basis of the column span of ``a`` from its SVD, dropping
-    singular values at most eps * max(a.shape) times the largest.  Returned
-    in Fortran order, as scipy.linalg.orth does: a BLAS product rounds by
-    its operands' layout, and this one gives scipy's bits.
-    """
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > np.finfo(float).eps * max(a.shape) * s.max(initial=0.0)))
-    return np.asfortranarray(u[:, :rank])
-
-
-def _principal_angles(a, b):
-    """Principal angles between the column spans of ``a`` and ``b``, descending.
-
-    Knyazev and Argentati (SIAM J. Sci. Comput. 23, 2002), as in
-    scipy.linalg.subspace_angles: cosines are the singular values of
-    Qa^T Qb; where cos^2 >= 1/2 the angle is taken instead from the sines,
-    the singular values of the part of one basis orthogonal to the other,
-    which keep the bits of small angles.
-    """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("subspace bases must be finite")
-    qa, qb = _orth(a), _orth(b)
-    c = qa.T @ qb
-    cos = np.linalg.svd(c, compute_uv=False)
-    rest = qb - qa @ c if qa.shape[1] >= qb.shape[1] else qa - qb @ c.T
-    sin = np.linalg.svd(rest, compute_uv=False)
-    return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
-                    np.arccos(np.clip(cos[::-1], -1.0, 1.0)))
-
-
-def subbundle_angle(splitting):
-    """inf over unit u in E, v in F of |u - v|, via the smallest principal angle."""
-    angles = _principal_angles(splitting.e_basis, splitting.f_basis)
-    theta_min = float(angles[-1])  # angles come back in descending order
-    if theta_min < 1e-9:
-        raise DegenerateSplittingError(
-            f"sub-bundles intersect (principal angle {theta_min:.3e})")
-    return _chord(theta_min)
-
-
-def alpha_constant(system, points):
-    """max over the sample of log(||Df|| / m(Df)), the one-step norm spread."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sv = np.linalg.svd(system.jacobian_many(pts), compute_uv=False)
-    if np.any(sv[..., -1] <= 0.0):
-        raise SingularRestrictionError("singular derivative in sample")
-    return float(np.max(np.log(sv[..., 0]) - np.log(sv[..., -1])))
-
-
-def upgrade_limit_domination(S, rate, k, q, alpha):
-    """Coarsen a domination scale from step S to step kS + q.
-
-    Returns (kS + q, k * rate - q * alpha / 2); the new rate must stay
-    positive, which bounds how large a remainder q the scale can absorb.
-    """
-    if S < 1 or k < 1 or q < 0 or q >= max(S, 1):
-        raise ValueError(f"need k >= 1 and 0 <= q < S, got S={S}, k={k}, q={q}")
-    if rate <= 0.0 or alpha < 0.0:
-        raise ValueError("rate must be positive and alpha nonnegative")
-    new_rate = k * rate - q * alpha / 2.0
-    if new_rate <= 0.0:
-        raise ValueError(
-            f"upgraded rate {new_rate} not positive; need k > q*alpha/(2*rate)")
-    return k * S + q, new_rate
-
-
-def domination_upgrade_n0(N, rate, gamma):
-    """Least window count beyond which an N-step domination with defect
-    gamma controls every longer window."""
-    if N < 1 or rate <= 0.0 or gamma < 0.0:
-        raise ValueError(f"need N >= 1, rate > 0, gamma >= 0; got {N}, {rate}, {gamma}")
-    return int(math.floor(2.0 + N * (rate + gamma) / rate)) + 1

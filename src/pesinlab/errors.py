@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PesinLabError",
+    "DimensionMismatchError",
+    "UnsupportedSystemError",
+    "NotInvertibleError",
+    "SingularRestrictionError",
+    "DegenerateSplittingError",
+    "GeometryError",
+    "ConvergenceError",
+    "UnresolvedTransitionError",
+    "PseudoOrbitFormatError",
+]
+
 
 class PesinLabError(Exception):
     """Base class for all package-specific errors."""

@@ -233,13 +233,6 @@ class HyperbolicityBudget:
     chi: float
     K0: int
 
-    def to_dict(self):
-        return {
-            "lambda_s": self.lambda_s, "lambda_u": self.lambda_u, "S": self.S,
-            "dom_rate": self.dom_rate, "alpha": self.alpha, "zeta": self.zeta,
-            "beta": self.beta, "chi": self.chi, "K0": self.K0,
-        }
-
 
 def budget_from_inputs(lambda_s, lambda_u, S, dom_rate, alpha, zeta, k1_floor=1):
     """Budget arithmetic from measured rates; zeta must lie in (0, beta).

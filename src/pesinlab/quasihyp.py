@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import OrbitData, _chord, _principal_angles
-from .errors import DimensionMismatchError
+from .cocycle import OrbitData
 
 __all__ = [
     "PartitionScheme",
@@ -23,7 +22,6 @@ __all__ = [
     "QuasiHypCertificate",
     "check_quasi_hyperbolic",
     "check_qh_pseudo_orbit",
-    "subspace_gap",
 ]
 
 
@@ -69,9 +67,6 @@ class PartitionScheme:
     @property
     def max_gap(self):
         return max(self.gaps)
-
-    def to_list(self):
-        return list(self.times)
 
 
 def canonical_partition(n, k, K):
@@ -200,17 +195,3 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
     }
     return ok, report
 
-
-def subspace_gap(image_basis, target_basis):
-    """Worst distance from a unit vector of one subspace to the other.
-
-    Computed from the largest principal angle as 2 sin(theta / 2); 0
-    exactly when the subspaces coincide.
-    """
-    u = np.atleast_2d(np.asarray(image_basis, dtype=float))
-    v = np.atleast_2d(np.asarray(target_basis, dtype=float))
-    if u.shape != v.shape:
-        raise DimensionMismatchError(
-            f"subspace bases must match in shape, got {u.shape} and {v.shape}")
-    theta = _principal_angles(u, v)
-    return float(_chord(theta[0])) if theta.size else 0.0

@@ -25,9 +25,8 @@ from .errors import ConvergenceError, PseudoOrbitFormatError
 
 __all__ = [
     "PseudoOrbit", "make_pseudo_orbit", "read_pseudo_orbit", "write_pseudo_orbit",
-    "segment_deviations", "verify_shadowing", "ShadowResult", "solve_shadow",
-    "close_orbit", "ShadowingConstants", "estimate_shadowing_constant",
-    "periodic_density_probe",
+    "ShadowResult", "solve_shadow", "close_orbit", "ShadowingConstants",
+    "estimate_shadowing_constant", "periodic_density_probe",
 ]
 
 _MAX_TOTAL = 10 ** 6
@@ -57,9 +56,11 @@ class PseudoOrbit:
         if self.delta is not None and not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         d = segs[0].shape[1] if segs[0].ndim == 2 else 0
-        for s in segs:
+        for i, s in enumerate(segs):
             if s.ndim != 2 or s.shape[1] != d or s.shape[0] < 2:
                 raise ValueError("each segment must be an (n_i + 1, d) array, n_i >= 1")
+            if not np.isfinite(s).all():
+                raise ValueError(f"segment {i} has a non-finite coordinate")
         object.__setattr__(self, "gaps", _seam_gaps(segs, self.periodic))
         if self.delta is None:
             worst = max(self.gaps, default=0.0)
@@ -149,10 +150,12 @@ def read_pseudo_orbit(path):
     head = _header_fields(lines[0])
     try:
         d = int(head["d"])
-        periodic = bool(int(head["periodic"]))
+        periodic = int(head["periodic"])
         delta = float(head["delta"])
     except ValueError as exc:
         raise PseudoOrbitFormatError(f"bad header values: {lines[0]!r}") from exc
+    if periodic not in (0, 1):
+        raise PseudoOrbitFormatError(f"periodic must be 0 or 1, got {periodic}")
 
     segments = []
     pos = 1
@@ -184,7 +187,7 @@ def read_pseudo_orbit(path):
         pos += n + 2
     if not segments:
         raise PseudoOrbitFormatError("no segments in pseudo-orbit file")
-    return PseudoOrbit(segments=tuple(segments), periodic=periodic, delta=delta)
+    return PseudoOrbit(segments=tuple(segments), periodic=bool(periodic), delta=delta)
 
 
 def segment_deviations(points, pseudo):
@@ -207,14 +210,6 @@ def segment_deviations(points, pseudo):
     k = int(dev.argmax())
     i = int(first.searchsorted(k, side="right")) - 1
     return np.maximum.reduceat(dev, first), (i, k - int(first[i]))
-
-
-def verify_shadowing(system, x, pseudo, epsilon):
-    """(within, worst deviation, worst (segment, offset)) for a candidate point."""
-    orbit = dyn.orbit_points(system, np.asarray(x, dtype=float), pseudo.total_length)
-    worsts, where = segment_deviations(orbit, pseudo)
-    worst = float(worsts.max())
-    return worst < epsilon, worst, where
 
 
 @dataclass(frozen=True, eq=False)

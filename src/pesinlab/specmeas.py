@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import systems as dyn
-from ._serialize import fmt_float, write_csv
 from .errors import DimensionMismatchError, UnresolvedTransitionError
 from .shadow import PseudoOrbit, solve_shadow
 
@@ -31,8 +30,6 @@ __all__ = [
     "EmpiricalMeasure",
     "weak_star_distance",
     "approximate_invariant_measure",
-    "transition_table_csv",
-    "measure_csv",
 ]
 
 
@@ -126,9 +123,13 @@ class Cover:
 
 def build_cover(samples, delta):
     """Greedy cover: first uncovered sample becomes a center of radius delta/2."""
-    pts = dyn.wrap(np.atleast_2d(np.asarray(samples, dtype=float)))
+    pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if len(pts) == 0:
         raise ValueError("samples must be nonempty")
+    # a NaN is within no radius of any center, so it would stay uncovered
+    if not np.isfinite(pts).all():
+        raise ValueError("samples must be finite")
+    pts = dyn.wrap(pts)
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     radius = delta / 2.0
@@ -470,26 +471,3 @@ def approximate_invariant_measure(system, target, delta, budget, tol=1e-12,
     approx = EmpiricalMeasure(points=result.points)
     return approx, weak_star_distance(target, approx, degree)
 
-
-def transition_table_csv(table, path):
-    """CSV rows (i, j, X, resolved, witness coordinates)."""
-    d = table.witnesses.shape[2]
-    header = ["i", "j", "X", "resolved"] + [f"y{a}" for a in range(d)]
-    rows = []
-    for i in range(table.X.shape[0]):
-        for j in range(table.X.shape[1]):
-            ok = table.X[i, j] >= 0
-            wit = [fmt_float(v) for v in table.witnesses[i, j]] if ok else [""] * d
-            rows.append([i, j, int(table.X[i, j]), int(ok)] + wit)
-    write_csv(path, header, rows)
-
-
-def measure_csv(measure, path):
-    """CSV rows (weight, support point coordinates)."""
-    d = measure.dim
-    header = ["weight"] + [f"x{a}" for a in range(d)]
-    rows = [
-        [fmt_float(w)] + [fmt_float(v) for v in p]
-        for w, p in zip(measure.weights, measure.points)
-    ]
-    write_csv(path, header, rows)

@@ -31,14 +31,12 @@ from .errors import (
 
 __all__ = [
     "Splitting",
-    "orthonormalize",
     "TorusMap",
     "CatMap",
     "CircleG",
     "Product24",
     "CompositeMap",
     "make_system",
-    "as_point",
     "wrap",
     "torus_diff",
     "torus_distance",
@@ -551,14 +549,6 @@ class Splitting:
     def dim(self):
         return self.e_basis.shape[0]
 
-    @property
-    def dim_e(self):
-        return self.e_basis.shape[1]
-
-    @property
-    def dim_f(self):
-        return self.f_basis.shape[1]
-
 
 def orthonormalize(basis):
     """Orthonormal basis with the same span; rejects rank-deficient input."""
@@ -598,11 +588,6 @@ def reference_splitting(system):
 def orbit_points(system, p, n):
     """Forward orbit as an (n+1, d) array; points wrapped into [0, 1)."""
     return system.orbit(as_point(p, system.dim), n)
-
-
-def orbit_points_back(system, p, n):
-    """Backward orbit: row t holds f^{-t}(p), t = 0..n."""
-    return system.orbit_back(as_point(p, system.dim), n)
 
 
 def orbit_many(system, starts, n):

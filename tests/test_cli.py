@@ -315,6 +315,29 @@ def test_non_finite_jacobian_exits_1(tmp_path, capsys, cat):
     assert re.search(r"numerical failure: non-finite Jacobian at orbit time -?\d+$", err)
 
 
+@pytest.mark.parametrize("argv, text, named", [
+    (["exponents", "--point", "nan,0.2"], None, "--point"),
+    (["classify", "--point", "nan,0.3,0.4"], None, "--point"),
+    (["domination", "--fiber", "nan"], None, "--fiber"),
+    (["glue", "--starts", "nan,0.1;0.2,0.3;0.4,0.5"], None, "--starts"),
+    (["measure", "--point", "nan,0.2"], None, "--point"),
+    (["classify", "--points", "{file}"], "nan,0.3,0.4\n", "--points"),
+    (["shadow", "--file", "{file}"],
+     "PSEUDO d=2 periodic=0 delta=0.5\nSEG n=1\nnan 0.2\n0.3 0.4\n", "segment 0"),
+    (["shadow", "--file", "{file}"],
+     "PSEUDO d=2 periodic=0 delta=0.5\nSEG n=1\n0.1 0.2\ninf 0.4\n", "segment 0"),
+])
+def test_non_finite_point_exits_2(tmp_path, capsys, argv, text, named):
+    # unchecked, a NaN start prints exponents, fails as a numerical error,
+    # or never returns (the cover of glue and measure)
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if a == "{file}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {named} has a non-finite coordinate" in err
+
+
 def test_composite_formula_injection_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "evil.json"

@@ -6,23 +6,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesinlab import cocycle, systems as dyn
 from pesinlab.cocycle import (
     _prefix_sum,
-    _principal_angles,
     _sv,
     OrbitData,
-    alpha_constant,
-    domination_upgrade_n0,
     lyapunov_spectrum,
     mean_exponents,
     mean_exponents_many,
-    subbundle_angle,
-    upgrade_limit_domination,
 )
 from pesinlab.errors import DegenerateSplittingError, SingularRestrictionError
 from pesinlab.pesin import PesinParams, check_block_membership_many
@@ -88,7 +82,7 @@ def test_orbit_data_matches_dense_products(p24, p24_split):
             prod = jac @ prod
         assert fwd_e[b] == pytest.approx(
             math.log(operator_norm(prod, p24_split.e_basis)), abs=1e-10)
-        back = dyn.orbit_points_back(p24, x, 5)
+        back = dyn.orbit_many_back(p24, [x], 5)[:, 0]
         prod = np.eye(3)
         for jac in p24.jacobian_many(back[5:2:-1]):
             prod = jac @ prod
@@ -397,89 +391,6 @@ def test_lyapunov_spectrum_rotation_zero():
     assert spec.exponents == (0.0,)
     with pytest.raises(ValueError):
         lyapunov_spectrum(rot, np.array([0.2]), 5)
-
-
-def test_subbundle_angle(cat_split):
-    ortho = dyn.Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-    assert subbundle_angle(ortho) == pytest.approx(math.sqrt(2.0))
-    # symmetric matrix: eigenvectors orthogonal
-    assert subbundle_angle(cat_split) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    near = dyn.Splitting(np.array([[1.0], [0.0]]), np.array([[1.0], [1e-12]]))
-    with pytest.raises(DegenerateSplittingError):
-        subbundle_angle(near)
-
-
-def test_prop_21_2_angle_bound(p24, p24_split):
-    # points dominated at rate <= -2*lambda keep the angle above e0
-    lam = 0.8
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        x = rng.random(3) * np.array([0.2, 1.0, 1.0])  # stay clear of fiber 1/2
-        rep = mean_exponents(p24, x, p24_split, K=1, horizon=60)
-        if rep.limdom_hat <= -2 * lam + 1e-3:
-            assert subbundle_angle(p24_split) >= 1.0
-
-
-@st.composite
-def _subspace_pair(draw):
-    """Bases of two subspaces of R^d, d <= 3, of any dimensions, with
-    columns that may be nearly collinear within a basis or across the two."""
-    d = draw(st.integers(1, 3))
-    ka, kb = draw(st.integers(1, d)), draw(st.integers(1, d))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal((d, ka)), rng.standard_normal((d, kb))
-    scale = 10.0 ** draw(st.floats(-16.0, -1.0))
-    if draw(st.booleans()):
-        b[:, 0] = a[:, 0] + scale * rng.standard_normal(d)
-    if ka > 1 and draw(st.booleans()):
-        a[:, 1] = a[:, 0] + scale * rng.standard_normal(d)
-    return a, b
-
-
-@settings(max_examples=300, deadline=None)
-@given(_subspace_pair())
-def test_principal_angles_match_scipy(pair):
-    a, b = pair
-    got, want = _principal_angles(a, b), scipy.linalg.subspace_angles(a, b)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-15
-    if scipy.linalg.orth(a).shape[1] == scipy.linalg.orth(b).shape[1]:
-        assert np.array_equal(got, want)
-
-
-def test_alpha_constant_oracles(cat, p24):
-    pts = np.random.default_rng(2).random((50, 2))
-    assert alpha_constant(cat, pts) == pytest.approx(2 * LOG_U, abs=1e-12)
-    iso = dyn.make_system({
-        "kind": "composite", "dim": 1,
-        "map": ["(x0 + 0.25) % 1.0"], "jacobian": [["1.0"]],
-    })
-    assert alpha_constant(iso, np.array([[0.1], [0.5]])) == 0.0
-    # product24 on a dense fiber grid: alpha = log(lambda_u / min g')
-    xs = np.linspace(0.0, 1.0, 20001, endpoint=False)
-    grid = np.column_stack([xs, np.full_like(xs, 0.3), np.full_like(xs, 0.6)])
-    expect = LOG_U - math.log(float(dyn.g_prime(xs).min()))
-    assert alpha_constant(p24, grid) == pytest.approx(expect, abs=1e-12)
-    assert alpha_constant(p24, grid) == pytest.approx(2.622, abs=1e-3)
-
-
-def test_upgrade_limit_domination_examples():
-    assert upgrade_limit_domination(1, 0.8278, 3, 0, 1.0) == (3, pytest.approx(2.4834))
-    assert upgrade_limit_domination(4, 0.5, 1, 0, 2.0) == (4, 0.5)
-    assert upgrade_limit_domination(2, 1.0, 2, 1, 1.0) == (5, pytest.approx(1.5))
-    with pytest.raises(ValueError):
-        upgrade_limit_domination(2, 0.1, 1, 1, 5.0)  # k too small
-    with pytest.raises(ValueError):
-        upgrade_limit_domination(2, 1.0, 1, 2, 1.0)  # q >= S
-
-
-def test_domination_upgrade_n0_examples():
-    assert domination_upgrade_n0(1, 2.5, 0.0) == 4
-    assert domination_upgrade_n0(5, 1.0, 1.0) == 13
-    assert domination_upgrade_n0(3, 0.5, 0.25) == 7
-    with pytest.raises(ValueError):
-        domination_upgrade_n0(3, 0.0, 0.1)
 
 
 def test_mean_exponents_many_matches_single(p24, p24_split):

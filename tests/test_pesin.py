@@ -117,8 +117,6 @@ def test_budget_product24_rates():
     assert bud.beta == LOG2  # min() hands back the input float unchanged
     assert bud.zeta < bud.chi < bud.beta
     assert bud.K0 == 1
-    d = bud.to_dict()
-    assert d["beta"] == LOG2 and d["S"] == 1
 
 
 def test_budget_zeta_range():

@@ -1,20 +1,16 @@
 """Canonical partitions and quasi-hyperbolic certificates."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesinlab import systems as dyn
-from pesinlab.errors import DimensionMismatchError
 from pesinlab.quasihyp import (
     PartitionScheme,
     canonical_partition,
     check_qh_pseudo_orbit,
     check_quasi_hyperbolic,
-    subspace_gap,
 )
 from pesinlab.shadow import make_pseudo_orbit
 
@@ -26,7 +22,6 @@ def test_worked_partition():
     assert p.times == (0, 13, 17, 21, 25, 29, 41)
     assert p.m == 6 and p.l == 10 and p.q == 1
     assert p.max_gap == 13
-    assert p.to_list() == [0, 13, 17, 21, 25, 29, 41]
 
 
 def test_partition_minimal_window():
@@ -189,21 +184,3 @@ def test_pseudo_orbit_periodic_wrap_seam_checked(cat, cat_split):
     ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, None, k=1, K=1)
     assert ok and rep["delta"] == pseudo.delta
 
-
-def test_subspace_gap_oracles(cat, cat_split):
-    e1 = np.array([[1.0], [0.0]])
-    e2 = np.array([[0.0], [1.0]])
-    assert subspace_gap(e1, e1) == 0.0
-    assert subspace_gap(e1, e2) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    img = cat.jacobian_many(np.zeros((1, 2)))[0] @ cat_split.e_basis
-    assert subspace_gap(img, cat_split.e_basis) < 1e-12
-    with pytest.raises(DimensionMismatchError):
-        subspace_gap(np.eye(2), e1)
-
-
-@pytest.mark.parametrize("theta", [1e-6, 1e-8, 1e-9])
-def test_subspace_gap_small_angles(theta):
-    # sqrt(2 - 2 cos theta) cancels to 0 below ~1e-8; 2 sin(theta / 2) keeps it
-    line = np.array([[math.cos(theta)], [math.sin(theta)]])
-    gap = subspace_gap(np.array([[1.0], [0.0]]), line)
-    assert gap == pytest.approx(2.0 * math.sin(theta / 2.0), rel=1e-15)

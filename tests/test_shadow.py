@@ -20,8 +20,8 @@ from pesinlab.shadow import (
     make_pseudo_orbit,
     periodic_density_probe,
     read_pseudo_orbit,
+    segment_deviations,
     solve_shadow,
-    verify_shadowing,
     write_pseudo_orbit,
 )
 from pesinlab.specmeas import EmpiricalMeasure, TransitionTable, build_cover, glue_segments
@@ -38,6 +38,8 @@ def test_pseudo_orbit_validation(cat):
     assert po.n_list == (5, 5)
     with pytest.raises(ValueError):
         PseudoOrbit(segments=(seg[:1],), periodic=False, delta=0.5)
+    with pytest.raises(ValueError, match="segment 1 has a non-finite coordinate"):
+        PseudoOrbit(segments=(seg, np.where(far > 0.5, np.inf, far)), periodic=False)
 
 
 def test_make_pseudo_orbit_auto_delta(cat):
@@ -71,17 +73,24 @@ def _worst_by_loop(system, x, pseudo):
     return worst, where
 
 
+def _deviation(system, x, pseudo):
+    """Worst deviation of x's orbit from the chain, and its (segment, offset)."""
+    orbit = dyn.orbit_points(system, x, pseudo.total_length)
+    worsts, where = segment_deviations(orbit, pseudo)
+    return float(worsts.max()), where
+
+
 def test_verify_and_solve_exact_orbit(cat):
     x0 = np.array([0.1234, 0.777])
     mid = dyn.orbit_points(cat, x0, 6)[-1]
     po = make_pseudo_orbit(cat, [x0, mid], [6, 7], periodic=False)
-    assert verify_shadowing(cat, x0, po, 1e-12) == (True, 0.0, (0, 0))
+    assert _deviation(cat, x0, po) == (0.0, (0, 0))
     res = solve_shadow(cat, po)
     assert res.iterations == 0 and res.epsilon_achieved == 0.0
     assert res.period is None and not res.periodic
     bad = dyn.wrap(x0 + 2e-6)
-    bad_ok, bad_dev, where = verify_shadowing(cat, bad, po, 1e-6)
-    assert not bad_ok and bad_dev > 1e-6
+    bad_dev, where = _deviation(cat, bad, po)
+    assert bad_dev > 1e-6
     # the perturbation grows by lambda_u per step: worst at the last point
     assert where == (1, 7)
     assert (bad_dev, where) == _worst_by_loop(cat, bad, po)
@@ -97,8 +106,8 @@ def test_verify_consistency_after_solve(cat):
         x1 = dyn.wrap(end + 1e-8 * rng.standard_normal(2))
         po = make_pseudo_orbit(cat, [x0, x1], [4, 4], periodic=False)
         res = solve_shadow(cat, po)
-        ok, dev, where = verify_shadowing(cat, res.z, po, res.epsilon_achieved + 1e-12)
-        assert ok, (trial, dev, res.epsilon_achieved)
+        dev, where = _deviation(cat, res.z, po)
+        assert dev < res.epsilon_achieved + 1e-12, (trial, dev, res.epsilon_achieved)
         assert (dev, where) == _worst_by_loop(cat, res.z, po)
         wheres.append(where)
     # the worst point sits on one side of the seam or the other
@@ -375,6 +384,7 @@ def test_file_roundtrip_bit_exact(data):
     "PSEUDO d=2 periodic=1 delta=0.5\nSEG n=2\n0 0\n0 0\n",  # short segment
     "PSEUDO d=2 periodic=1 delta=0.5\nSEG n=1\n0 0\n0 0 0\n",  # wrong dim
     "PSEUDO d=2 periodic=1 delta=0.5\nSEG n=x\n0 0\n0 0\n",  # bad count
+    "PSEUDO d=2 periodic=2 delta=0.5\nSEG n=1\n0 0\n0 0\n",  # periodic not 0 or 1
 ])
 def test_malformed_files(tmp_path, text):
     path = tmp_path / "bad.txt"

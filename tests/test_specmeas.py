@@ -18,9 +18,7 @@ from pesinlab.specmeas import (
     approximate_invariant_measure,
     build_cover,
     glue_segments,
-    measure_csv,
     specification_shadow,
-    transition_table_csv,
     transition_times,
     weak_star_distance,
 )
@@ -40,6 +38,13 @@ def test_build_cover_basics():
         build_cover(np.zeros((0, 2)), 0.1)
     with pytest.raises(ValueError):
         build_cover([[0.0, 0.0]], 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_cover_rejects_non_finite_samples(bad):
+    # a NaN sample is within no ball; unchecked, the greedy loop never ends
+    with pytest.raises(ValueError, match="finite"):
+        build_cover([[bad, 0.1], [0.2, 0.3]], 0.1)
 
 
 def test_cover_validation():
@@ -358,21 +363,3 @@ def test_approximate_invariant_measure(cat):
     with pytest.raises(ValueError):
         approximate_invariant_measure(cat, target, delta=0.25, budget=3)
 
-
-def test_csv_writers(cat, tmp_path):
-    cov = build_cover([[0.0, 0.0], [0.5, 0.5]], 0.2)
-    table = transition_times(cat, cov, 2, 50, 1, seed=0)
-    t_path = tmp_path / "table.csv"
-    transition_table_csv(table, t_path)
-    lines = t_path.read_text().strip().split("\n")
-    assert lines[0] == "i,j,X,resolved,y0,y1"
-    assert len(lines) == 1 + cov.size ** 2
-    unresolved = [l for l in lines[1:] if l.split(",")[3] == "0"]
-    assert all(l.endswith(",,") for l in unresolved)
-
-    m = EmpiricalMeasure(points=[[0.1, 0.2], [0.3, 0.4]], weights=[0.25, 0.75])
-    m_path = tmp_path / "measure.csv"
-    measure_csv(m, m_path)
-    lines = m_path.read_text().strip().split("\n")
-    assert lines[0] == "weight,x0,x1"
-    assert lines[1].startswith("0.25,")
