@@ -297,17 +297,11 @@ def cmd_measure(opt):
     target_n = _positive_int("--target-n", opt["target_n"])
     target = specmeas.EmpiricalMeasure.from_orbit(system, x0, target_n)
     budgets = _int_list(opt["budgets"])
-    if not budgets:
-        raise ValueError("--budgets must list at least one budget")
-    rows = []
-    for budget in budgets:
-        approx, dist = specmeas.approximate_invariant_measure(
-            system, target, float(opt["delta"]), int(budget),
-            tol=float(opt["tol"]), degree=int(opt["degree"]),
-            n_segments=int(opt["n_segments"]), min_n=int(opt["min_n"]),
-            horizon=int(opt["horizon"]), sample_orbits=int(opt["sample_orbits"]),
-            seed=int(opt["seed"]))
-        rows.append((int(budget), len(approx.points), dist))
+    curve = specmeas.measure_curve(
+        system, target, float(opt["delta"]), budgets, tol=float(opt["tol"]),
+        **{k: int(opt[k]) for k in ("degree", "n_segments", "min_n", "horizon",
+                                    "sample_orbits", "seed")})
+    rows = [(b, len(m.points), dist) for b, (m, dist) in zip(budgets, curve)]
     return csv_text(("budget", "period", "distance"), rows)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pesinlab
+from pesinlab import specmeas
 from pesinlab import systems as dyn
 from pesinlab.cli import main
 from pesinlab.shadow import make_pseudo_orbit, write_pseudo_orbit
@@ -189,6 +190,49 @@ def test_measure_command(capsys):
     assert header == ["budget", "period", "distance"]
     assert [int(r[0]) for r in rows] == [800, 1600]
     assert all(int(r[1]) >= 500 and np.isfinite(float(r[2])) for r in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--degree", "0"], ["--budgets", ""], ["--budgets", "5"], ["--budgets", "1000,4000"],
+    ["--delta", "0"], ["--delta", "nan"], ["--tol", "nan"], ["--tol", "0"],
+])
+def test_measure_rejects_bad_input_before_the_cover(capsys, monkeypatch, flags):
+    def no_cover(*args, **kwargs):
+        raise AssertionError("cover built before the input was checked")
+
+    monkeypatch.setattr(specmeas, "build_cover", no_cover)
+    assert main(["measure", "--budgets", "1000", "--target-n", "4000"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["close", "--point", "0.3,0.5", "--n", "9"],
+    ["shadow", "--file", "{file}"],
+    ["glue", "--mesh", "0.2", "--horizon", "2000", "--cover-samples", "1000"],
+    ["measure", "--budgets", "1000", "--target-n", "4000"],
+    ["probe-L", "--deltas", "1e-6", "--trials", "2", "--len-min", "5", "--len-max", "9"],
+    ["probe-per", "--samples", "5"],
+    ["probe-per", "--samples", "5", "--gap-cap", "1e-9"],   # every point skipped
+])
+def test_bad_tol_exits_2(tmp_path, capsys, cat, argv, tol):
+    # a NaN tolerance used to read as a stalled Newton solve (exit 1)
+    path = tmp_path / "chain.txt"
+    write_pseudo_orbit(make_pseudo_orbit(cat, [[0.1, 0.2]], [6], periodic=False), path)
+    assert main([str(path) if a == "{file}" else a for a in argv] + [f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tol" in err and str(float(tol)) in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "nan"], ["--epsilon", "0"], ["--gap-cap", "nan"], ["--gap-cap=-0.1"],
+])
+def test_probe_per_bad_epsilon_or_gap_cap_exits_2(capsys, flags):
+    # a NaN epsilon used to print "fraction": 0 with exit 0
+    assert main(["probe-per", "--samples", "5"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need epsilon, gap_cap, tol > 0" in err
 
 
 def test_probe_commands(capsys):

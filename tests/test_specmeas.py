@@ -18,6 +18,7 @@ from pesinlab.specmeas import (
     approximate_invariant_measure,
     build_cover,
     glue_segments,
+    measure_curve,
     specification_shadow,
     transition_times,
     weak_star_distance,
@@ -305,6 +306,33 @@ def test_weak_star_grid_anchors():
         weak_star_distance(m10, m64, 0)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_character_moments_match_direct_sums(data):
+    # the reference takes cos and sin of each phase 2 pi k.x in extended
+    # precision, so its own error is far below the float64 bound
+    d = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 40))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    pts = np.array(data.draw(st.lists(st.lists(unit, min_size=d, max_size=d),
+                                      min_size=n, max_size=n)))
+    weights = None
+    if data.draw(st.booleans()):
+        weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        weights /= weights.sum()
+    m = EmpiricalMeasure(points=pts, weights=weights)
+    moments = m.character_moments(degree)
+    assert moments.shape == (2 * degree + 1,) * d
+    ks = np.array(list(np.ndindex(moments.shape)), dtype=np.longdouble) - degree
+    phase = 2 * np.arccos(np.longdouble(-1)) * (m.points.astype(np.longdouble) @ ks.T)
+    w = m.weights.astype(np.longdouble)
+    exact = w @ np.cos(phase) + 1j * (w @ np.sin(phase))
+    # docstring bound per character value, plus the rounding of an n-term sum
+    bound = ((2 * np.pi + 3) * d * degree + n) * np.finfo(float).eps
+    assert np.abs(moments.ravel() - exact).max() <= bound
+
+
 def test_weak_star_birkhoff_near_lebesgue(cat):
     orb = EmpiricalMeasure.from_orbit(cat, np.array([0.123, 0.456]), 20000)
     grid = EmpiricalMeasure(points=_grid_points(64))
@@ -363,3 +391,14 @@ def test_approximate_invariant_measure(cat):
     with pytest.raises(ValueError):
         approximate_invariant_measure(cat, target, delta=0.25, budget=3)
 
+
+def test_measure_curve_matches_separate_calls(cat):
+    target = EmpiricalMeasure.from_orbit(cat, np.array([0.3141, 0.2718]), 4000)
+    opts = dict(delta=0.25, horizon=1000, sample_orbits=2, seed=13)
+    curve = measure_curve(cat, target, budgets=[800, 1600, 800], **opts)
+    for budget, (approx, dist) in zip([800, 1600, 800], curve):
+        alone, alone_dist = approximate_invariant_measure(cat, target, budget=budget, **opts)
+        assert np.array_equal(approx.points, alone.points)
+        assert dist == alone_dist
+    with pytest.raises(ValueError):
+        measure_curve(cat, target, 0.25, [])
