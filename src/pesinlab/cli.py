@@ -55,24 +55,36 @@ _DEFAULTS = {
                   "gap_cap": 0.05, "seed": 0, "tol": 1e-12},
 }
 
+# Type of each option (of its entries, for a list): its default's, or the
+# one given here where the default is None.
+_TYPES = {key: type(v[0] if isinstance(v, tuple) else v) for spec in _DEFAULTS.values()
+          for key, v in spec.items() if v is not None}
+_TYPES.update(n=int, e=int, lengths=int, point=float, fiber=float, starts=float)
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
 
-def _float_list(value):
+
+def _fits(value, kind):
+    """Whether a config value (a list entry by entry) fits an option of type
+    ``kind``: a bool only for a switch; a number or text, whole for an int."""
+    if isinstance(value, list) and kind is not bool:
+        return all(_fits(v, kind) for v in value)
+    return isinstance(value, bool) == (kind is bool) and not (
+        kind in (int, float) and not isinstance(value, (int, float, str))
+        or kind is int and isinstance(value, float) and not value.is_integer())
+
+
+def _numbers(value, kind=float):
+    """A JSON list or comma-separated text as a list of ``kind``."""
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(tok) for tok in str(value).split(",") if tok.strip()]
-
-
-def _int_list(value):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(tok) for tok in str(value).split(",") if tok.strip()]
+        return [kind(v) for v in value]
+    return [kind(tok) for tok in str(value).split(",") if tok.strip()]
 
 
 def _point_rows(value):
     """Parse 'x,y;x,y;...' (or a nested list) into an (m, d) array."""
     if isinstance(value, (list, tuple)):
         return np.asarray(value, dtype=float)
-    rows = [_float_list(tok) for tok in str(value).split(";") if tok.strip()]
+    rows = [_numbers(tok) for tok in str(value).split(";") if tok.strip()]
     return np.asarray(rows, dtype=float)
 
 
@@ -107,7 +119,7 @@ def _resolve_point(opt, system):
     """One base point from --point / --fiber / the per-dimension default."""
     d = system.dim
     if opt.get("point") is not None:
-        x = _finite("--point", _float_list(opt["point"]))
+        x = _finite("--point", _numbers(opt["point"]))
         if x.shape != (d,):
             raise ValueError(f"--point needs {d} coordinates, got {x.size}")
         return dyn.wrap(x)
@@ -176,7 +188,7 @@ def cmd_classify(opt):
 
     chi_e, chi_f = pesin.mean_hyperbolicity_degree(
         system, points[0], splitting, params.K, 512)
-    beta_hat = min(-chi_e, chi_f)
+    beta_hat = -chi_e if chi_f is None else min(-chi_e, chi_f)   # no inverse: E alone
     if params.zeta >= beta_hat:
         print(f"warning: zeta = {fmt_float(params.zeta)} >= estimated budget "
               f"beta = {fmt_float(beta_hat)}; no block can certify this rate",
@@ -239,8 +251,7 @@ def cmd_shadow(opt):
 
 def cmd_close(opt):
     system = dyn.make_system(opt["system"])
-    if opt.get("point") is None:
-        raise ValueError("missing required option --point")
+    _require(opt, "point", "--point")
     x = _resolve_point(opt, system)
     n = _positive_int("--n", _require(opt, "n", "--n"))
     result = shadow.close_orbit(system, x, n, tol=float(opt["tol"]))
@@ -249,6 +260,7 @@ def cmd_close(opt):
 
 def cmd_glue(opt):
     system = dyn.make_system(opt["system"])
+    shadow.check_tol(float(opt["tol"]))   # before the cover and the table are built
     d = system.dim
     rng = np.random.default_rng([int(opt["seed"]), 0])
     m = _positive_int("--segments", opt["segments"])
@@ -257,7 +269,7 @@ def cmd_glue(opt):
     starts = rng.random((m, d)) if opt.get("starts") is None \
         else _finite("--starts", _point_rows(opt["starts"]))
     lengths = rng.integers(lo, hi + 1, size=m) if opt.get("lengths") is None \
-        else np.asarray(_int_list(opt["lengths"]))
+        else np.asarray(_numbers(opt["lengths"], int))
     if starts.shape != (m, d) or lengths.shape != (m,):
         raise ValueError(f"need {m} starts of dimension {d} and {m} lengths")
 
@@ -296,7 +308,7 @@ def cmd_measure(opt):
     x0 = _resolve_point(opt, system)
     target_n = _positive_int("--target-n", opt["target_n"])
     target = specmeas.EmpiricalMeasure.from_orbit(system, x0, target_n)
-    budgets = _int_list(opt["budgets"])
+    budgets = _numbers(opt["budgets"], int)
     curve = specmeas.measure_curve(
         system, target, float(opt["delta"]), budgets, tol=float(opt["tol"]),
         **{k: int(opt[k]) for k in ("degree", "n_segments", "min_n", "horizon",
@@ -308,7 +320,7 @@ def cmd_measure(opt):
 def cmd_probe_l(opt):
     system = dyn.make_system(opt["system"])
     constants = shadow.estimate_shadowing_constant(
-        system, _float_list(opt["deltas"]), _positive_int("--trials", opt["trials"]),
+        system, _numbers(opt["deltas"]), _positive_int("--trials", opt["trials"]),
         (int(opt["len_min"]), int(opt["len_max"])),
         seed=int(opt["seed"]), tol=float(opt["tol"]))
     return dumps(constants.to_dict()) + "\n"
@@ -384,6 +396,11 @@ def _resolve_options(args):
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise ValueError(f"config {args.config}: unknown keys {sorted(unknown)}")
+        for key, value in cfg.items():
+            kind = _TYPES.get(key)
+            if not (value is None and defaults[key] is None or _fits(value, kind)):
+                raise ValueError(f"config {args.config}: {key} must be "
+                                 f"{_TYPE_NAMES.get(kind, 'text')}, got {json.dumps(value)}")
         merged.update(cfg)
     for key, value in vars(args).items():
         if key not in ("cmd", "config", "out"):

@@ -14,7 +14,7 @@ side cannot underflow, and no derivative is ever inverted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -83,13 +83,13 @@ class OrbitData:
     sum of its per-factor sub-bundles, restricted apart, and only F's factors
     are orbited backward (product24: cat, no circle inverse); else the map
     is one factor.  Operator norms are the max over E's sub-bundles, minimal
-    norms the min over F's.  R is formed in row blocks, per factor, by two
-    2-D GEMMs in its coordinates, Df B and Q^T (Df B) with Q = [B | C]: R(t)
-    on top, bit for bit B^T (Df B), C^T Df B below.  These are a one-factor
-    R's sums less exact zeros, and log is monotone, so block logs keep their
-    bits.  Raises DegenerateSplittingError when Df moves a sub-bundle off
-    itself by more than _INVARIANCE_TOL of the largest Jacobian entry,
-    SingularRestrictionError on a non-finite Jacobian.
+    norms the min over F's.  R is formed in row blocks by one pair of 2-D
+    GEMMs per sub-bundle, in its factor's coordinates, Df B and Q^T (Df B)
+    with Q = [B | C]: R(t) on top, bit for bit B^T (Df B), C^T Df B below.
+    These are a one-factor R's sums less exact zeros, and log is monotone, so
+    block logs keep their bits.  Raises DegenerateSplittingError when Df
+    moves a sub-bundle off itself by more than _INVARIANCE_TOL of the largest
+    Jacobian entry, SingularRestrictionError on a non-finite Jacobian.
     """
 
     def __init__(self, system, xs, splitting, n_fwd, n_back=0):
@@ -108,18 +108,23 @@ class OrbitData:
 
         layout = tuple((s, f.dim) for f, s in system.factors)
         if layout not in splitting._plans:
-            splitting._plans[layout] = _plan(splitting._frames, layout)
-        sizes, pieces = splitting._plans[layout]
+            splitting._plans[layout] = _subbundles(splitting._frames, layout)
+        subs = splitting._plans[layout]
         self._r = {name: [np.empty((self.n_fwd - self._first[name], self.batch, k, k))
-                          for k in ks] for name, ks in sizes.items()}
+                          for k in (b.shape[1] for _, _, b, _ in sub)]
+                   for name, sub in subs.items()}
+        # (map, first time, its first coordinate, sub-bundles as (R from the
+        # first time on, first coordinate in the map, B, Q^T)): the whole map
+        # forward, then each of F's factors backward
+        runs = [(system, 0, 0, [(r[len(r) - self.n_fwd:], s, b, qt) for name in subs
+                                for r, (_, s, b, qt) in zip(self._r[name], subs[name])])]
+        if self.n_back:
+            runs += [(system if f is None else system.factors[f][0], -self.n_back, s,
+                      [(r, 0, b, qt)]) for r, (f, s, b, qt) in zip(self._r["f"], subs["f"])]
         defect = scale = 0.0
-        for back, factor, coords, groups in pieces[:None if self.n_back else 1]:   # forward first
-            m = system if factor is None else system.factors[factor][0]
-            if back:
-                t0, pts = -self.n_back, dyn.orbit_many_back(m, xs[:, coords], self.n_back)[:0:-1]
-            else:
-                t0, pts = 0, dyn.orbit_many(m, xs[:, coords], self.n_fwd)[:-1]
-            pts = pts.reshape(-1, m.dim)
+        for m, t0, c, targets in runs:
+            pts = (dyn.orbit_many_back(m, xs[:, c:c + m.dim], -t0)[:0:-1] if t0 else
+                   dyn.orbit_many(m, xs, self.n_fwd)[:-1]).reshape(-1, m.dim)
             for i in range(0, len(pts), _RESTRICT_ROWS):
                 jac = m.jacobian_many(pts[i:i + _RESTRICT_ROWS])
                 hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
@@ -128,16 +133,13 @@ class OrbitData:
                     raise SingularRestrictionError(
                         f"non-finite Jacobian at orbit time {row // self.batch + t0}")
                 scale = max(scale, hi, -lo)
-                for s, n, b, qt, places in groups:
-                    w = b.shape[1]
-                    image = (jac[:, s:s + n, s:s + n].reshape(-1, n) @ b).reshape(-1, n, w)
-                    out = (qt @ image.transpose(1, 0, 2).reshape(n, -1)).reshape(len(qt), -1, w)
-                    for name, j, c, o, k in places:
-                        at = (t0 - self._first[name]) * self.batch + i
-                        self._r[name][j].reshape(-1, k, k)[at:at + len(jac)] = \
-                            out[o:o + k, :, c:c + k].swapaxes(0, 1)
-                        if k < n:   # a sub-bundle that fills its factor has no defect
-                            defect = max(defect, float(np.abs(out[o + k:o + n, :, c:c + k]).max()))
+                for r, s, b, qt in targets:
+                    n, k = b.shape
+                    image = (jac[:, s:s + n, s:s + n].reshape(-1, n) @ b).reshape(-1, n, k)
+                    out = (qt @ image.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, k)
+                    r.reshape(-1, k, k)[i:i + len(jac)] = out[:k].swapaxes(0, 1)
+                    if k < n:   # a sub-bundle that fills its factor has no defect
+                        defect = max(defect, float(np.abs(out[k:]).max()))
         if defect > _INVARIANCE_TOL * scale:
             raise DegenerateSplittingError(
                 f"splitting is not Df-invariant along the orbit: defect "
@@ -246,50 +248,26 @@ class OrbitData:
         return reduce(np.maximum if top else np.minimum, subs)
 
 
-def _plan(frames, layout):
-    """OrbitData's plan for bundle frames and a factor layout ((first
-    coordinate, dim), ...): the sub-bundle dimensions of each bundle, and
-    pieces (backward, factor or None for the whole map, its coordinates,
-    groups).  The first piece runs the whole map forward, the others each
-    of F's factors backward.  A frame column that is not zero outside one
-    factor makes the map one factor."""
+def _subbundles(frames, layout):
+    """Each bundle's sub-bundles for a factor layout ((first coordinate,
+    dim), ...): (factor index, or None for the whole map, its first
+    coordinate, B, Q^T) with B the bundle's frame columns on that factor, in
+    its coordinates, and Q = [B | C] orthogonal.  A frame column that is not
+    zero outside one factor makes the map one factor."""
     owner = np.repeat(np.arange(len(layout)), [n for _, n in layout])
-    subs = {}   # bundle: [(factor, B, Q = [B | C])] in the factor's coordinates
+    subs = {}
     for name, b in frames.items():
         hosts = [set(owner[col != 0.0].tolist()) for col in b.T]
         if any(len(h) != 1 for h in hosts):
-            return _plan(frames, ((0, len(owner)),))
+            return _subbundles(frames, ((0, len(owner)),))
         subs[name] = []
         for i, (s, n) in enumerate(layout):
             bi = b[s:s + n, [c for c, h in enumerate(hosts) if h == {i}]]
             if bi.size:
                 ci = np.linalg.qr(bi, mode="complete")[0][:, bi.shape[1]:]
-                subs[name].append((i, bi, np.hstack([bi, ci])))
-
-    def groups(names, factors, shift):
-        """Per factor, one pair of GEMMs for its sub-bundles: (first
-        coordinate less ``shift``, dim n, their B side by side, their Q^T
-        stacked, and (bundle, index, column, row, dim) per sub-bundle)."""
-        out = []
-        for i in factors:
-            mine = [(name, j, b, q) for name in names
-                    for j, (f, b, q) in enumerate(subs[name]) if f == i]
-            places, col = [], 0
-            for row, (name, j, b, _) in enumerate(mine):
-                places.append((name, j, col, row * layout[i][1], b.shape[1]))
-                col += b.shape[1]
-            if mine:
-                out.append((layout[i][0] - shift, layout[i][1],
-                            np.hstack([b for _, _, b, _ in mine]),
-                            np.vstack([q.T for *_, q in mine]), places))
-        return out
-
-    pieces = [(False, None, slice(None), groups("ef", range(len(layout)), 0))]
-    for i, _, _ in subs["f"]:
-        s, n = layout[i]
-        pieces.append((True, None if len(layout) == 1 else i, slice(s, s + n),
-                       groups("f", [i], s)))
-    return {name: [b.shape[1] for _, b, _ in sub] for name, sub in subs.items()}, pieces
+                subs[name].append((None if len(layout) == 1 else i, s, bi,
+                                   np.hstack([bi, ci]).T))
+    return subs
 
 
 def _prefix_sum(a):
@@ -329,15 +307,7 @@ class MeanExponentReport:
     horizon: int
 
     def to_dict(self):
-        return {
-            "lambda_s_hat": self.lambda_s_hat,
-            "lambda_u_hat": self.lambda_u_hat,
-            "lambda_sup_s_hat": self.lambda_sup_s_hat,
-            "lambda_sup_u_hat": self.lambda_sup_u_hat,
-            "limdom_hat": self.limdom_hat,
-            "block": self.block,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
 
 def mean_exponents_many(system, xs, splitting, K, horizon):

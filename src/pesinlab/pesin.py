@@ -11,7 +11,7 @@ a finite horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -260,19 +260,22 @@ def mean_hyperbolicity_degree(system, x, splitting, K, horizon):
     """(tail max of forward E averages, tail min of backward F averages).
 
     Per-step rates over windows of length K; the point carries degree
-    (K, zeta) when the first value is <= -zeta and the second >= zeta.
+    (K, zeta) when the first value is <= -zeta and the second >= zeta.  A
+    system with no inverse has no backward data: the second value is None.
     """
     if K < 1 or horizon < 10:
         raise ValueError(f"need K >= 1 and horizon >= 10, got K={K}, horizon={horizon}")
+    back = horizon * K if system.invertible else 0
     data = OrbitData(system, np.asarray(x, dtype=float)[None, :], splitting,
-                     n_fwd=horizon * K, n_back=horizon * K)
-    ls = np.arange(1, horizon + 1)
-    fwd = data.block_logs("e", [j * K for j in range(horizon)], K)[:, 0]
-    bwd = data.block_logs("f", [-j * K for j in range(1, horizon + 1)], K)[:, 0]
-    avg_fwd = np.cumsum(fwd) / (ls * K)
-    avg_bwd = np.cumsum(bwd) / (ls * K)
+                     n_fwd=horizon * K, n_back=back)
+    steps = np.arange(1, horizon + 1) * K
     tail = max(0, horizon // 2 - 1)
-    return float(avg_fwd[tail:].max()), float(avg_bwd[tail:].min())
+    fwd = data.block_logs("e", [j * K for j in range(horizon)], K)[:, 0]
+    chi_e = float((np.cumsum(fwd) / steps)[tail:].max())
+    if not back:
+        return chi_e, None
+    bwd = data.block_logs("f", [-j * K for j in range(1, horizon + 1)], K)[:, 0]
+    return chi_e, float((np.cumsum(bwd) / steps)[tail:].min())
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,7 @@ class BlockGeometry:
     horizon: int
 
     def to_dict(self):
-        return {"k": self.k, "zeta": self.zeta, "a": self.a, "b": self.b,
-                "grid_n": self.grid_n, "horizon": self.horizon}
+        return asdict(self)
 
 
 def min_block_scan_product24(x_values, zeta, horizon):

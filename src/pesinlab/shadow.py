@@ -296,6 +296,12 @@ def _newton_step(jac, rhs, periodic):
     return delta
 
 
+def check_tol(tol):
+    """Reject a Newton tolerance that is NaN, not positive or infinite."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     """Newton realization of an orbit through the pseudo-orbit window.
 
@@ -306,8 +312,7 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     non-finite, has not halved over two steps or misses tol after max_iter,
     or a factorization fails; nothing is returned in that case.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_tol(tol)
     if pseudo.total_length > _MAX_TOTAL:
         raise ValueError(f"window too long: {pseudo.total_length} > {_MAX_TOTAL}")
     if system.dim != pseudo.dim:
@@ -453,9 +458,9 @@ def periodic_density_probe(system, sample, n_max, epsilon, gap_cap=0.05,
         raise ValueError("sample must be nonempty")
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if not (epsilon > 0.0 and gap_cap > 0.0 and 0.0 < tol < np.inf):
-        raise ValueError("need epsilon, gap_cap, tol > 0 and tol finite, got "
-                         f"{epsilon}, {gap_cap}, {tol}")
+    check_tol(tol)
+    if not (epsilon > 0.0 and gap_cap > 0.0):
+        raise ValueError(f"need epsilon, gap_cap, tol > 0, got {epsilon}, {gap_cap}, {tol}")
     outcomes = []
     for x in sample:
         orbit = dyn.orbit_points(system, x, int(n_max))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import systems as dyn
 from .errors import DimensionMismatchError, UnresolvedTransitionError
-from .shadow import PseudoOrbit, solve_shadow
+from .shadow import PseudoOrbit, check_tol, solve_shadow
 
 __all__ = [
     "Cover",
@@ -473,8 +473,7 @@ def measure_curve(system, target, delta, budgets, tol=1e-12, degree=3,
         raise ValueError(f"need degree >= 1, got {degree}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_tol(tol)
     top = max(budgets)
     step_gap = dyn.torus_distance(system.step_many(pts[:top]), pts[1:top + 1])
     if float(np.max(step_gap)) > 1e-9:

@@ -218,19 +218,11 @@ class TorusMap:
 
     def orbit(self, p, n):
         """Forward orbit of a wrapped start p as an (n+1, d) array."""
-        pts = np.empty((n + 1, self.dim))
-        pts[0] = p
-        for t in range(n):
-            pts[t + 1] = self.step(pts[t])
-        return pts
+        return _orbit_many(self, p, n, None, self.step_many)[:, 0]
 
     def orbit_back(self, p, n):
         """Backward orbit of a wrapped start p: row t holds f^{-t}(p)."""
-        pts = np.empty((n + 1, self.dim))
-        pts[0] = p
-        for t in range(n):
-            pts[t + 1] = self.inverse_step(pts[t])
-        return pts
+        return _orbit_many(self, p, n, None, self.inverse_many)[:, 0]
 
     def _check(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -512,7 +504,7 @@ class Splitting:
     ``e_basis`` is (d, dim E), ``f_basis`` is (d, dim F) with
     dim E + dim F = d and E, F transverse.  ``_frames`` maps 'e' and 'f' to
     an orthonormal basis of the bundle, read-only; ``_plans`` caches the
-    cocycle's restriction plans per factor layout.  A numerically
+    cocycle's sub-bundles per factor layout.  A numerically
     rank-deficient bundle basis raises DegenerateSplittingError, from orthonormalize.
     """
 
@@ -601,10 +593,10 @@ def orbit_many_back(system, starts, n):
 
 
 def _orbit_many(system, starts, n, orbit, step_many):
-    """A batch of one runs the system's single-start kernel; a larger batch
-    steps all starts at once."""
+    """A batch of one runs the system's single-start kernel ``orbit``, if
+    given; otherwise ``step_many`` steps all starts at once."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if len(starts) == 1:
+    if len(starts) == 1 and orbit:
         return orbit(as_point(starts[0], system.dim), n)[:, None]
     out = np.empty((n + 1,) + starts.shape)
     out[0] = wrap(starts)

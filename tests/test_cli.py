@@ -216,8 +216,13 @@ def test_measure_rejects_bad_input_before_the_cover(capsys, monkeypatch, flags):
     ["probe-per", "--samples", "5"],
     ["probe-per", "--samples", "5", "--gap-cap", "1e-9"],   # every point skipped
 ])
-def test_bad_tol_exits_2(tmp_path, capsys, cat, argv, tol):
-    # a NaN tolerance used to read as a stalled Newton solve (exit 1)
+def test_bad_tol_exits_2(tmp_path, capsys, monkeypatch, cat, argv, tol):
+    # a NaN tolerance used to read as a stalled Newton solve (exit 1); glue
+    # and measure reject it before they build a cover
+    def no_cover(*args, **kwargs):
+        raise AssertionError("cover built before the tolerance was checked")
+
+    monkeypatch.setattr(specmeas, "build_cover", no_cover)
     path = tmp_path / "chain.txt"
     write_pseudo_orbit(make_pseudo_orbit(cat, [[0.1, 0.2]], [6], periodic=False), path)
     assert main([str(path) if a == "{file}" else a for a in argv] + [f"--tol={tol}"]) == 2
@@ -341,6 +346,22 @@ def test_vanishing_window_product_exits_1(tmp_path, capsys):
     assert "numerical failure" in err and "vanished" in err
 
 
+def test_classify_without_inverse_prints_partial_certificates(tmp_path, capsys, cat):
+    # the zeta warning reads the forward rate alone; it used to ask for
+    # backward data and exit 1
+    split = dyn.reference_splitting(cat)
+    cfg = tmp_path / "forward.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+        "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+        "e_basis": split.e_basis.tolist(), "f_basis": split.f_basis.tolist(),
+    }, "point": "0.2,0.7"}))
+    assert main(["classify", "--config", str(cfg)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["partial"] is True and rec["slack_expansion"] is None
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
 def test_non_finite_jacobian_exits_1(tmp_path, capsys, cat):
     # the Jacobian is NaN where x0 < 0.5; the invariance check must not pass
@@ -421,6 +442,23 @@ def test_config_resolution(tmp_path, capsys):
 
     cfg.write_text("{not json")
     assert main(["close", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv, cfg, why", [
+    (["partition"], {"n": 41.9, "k": 3, "K": 4}, "n must be an integer, got 41.9"),
+    (["partition"], {"n": 41, "k": True, "K": 4}, "k must be an integer, got true"),
+    (["classify"], {"geometry": "no"}, 'geometry must be true or false, got "no"'),
+    (["measure"], {"budgets": [1000.9]}, "budgets must be an integer, got [1000.9]"),
+    (["exponents"], {"horizon": None}, "horizon must be an integer, got null"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, argv, cfg, why):
+    # each used to be coerced (n = 41, k = 1, the geometry sweep on, budget
+    # 1000) or to end in a traceback (null)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(argv + ["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: config {path}: {why}" in err
 
 
 def _console_script_target():

@@ -712,17 +712,18 @@ def test_splitting_frames_computed_once(p24, p24_split):
     assert not p24_split.e_basis.flags.writeable and not p24_split.f_basis.flags.writeable
     for b in frames.values():
         assert not b.flags.writeable
-    # the per-factor plan is built on the first OrbitData and then reused
+    # the sub-bundles are built on the first OrbitData and then reused
     OrbitData(p24, np.array([0.2, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
-    plan = p24_split._plans[((0, 1), (1, 2))]
+    subs = p24_split._plans[((0, 1), (1, 2))]
     OrbitData(p24, np.array([0.4, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
-    assert p24_split._plans[((0, 1), (1, 2))] is plan
-    for back, factor, coords, groups in plan[1]:
-        for s, n, b, qt, places in groups:
-            for name, j, c, o, k in places:
-                q = qt[o:o + n].T
-                assert np.array_equal(q[:, :k], b[:, c:c + k])   # Q = [B | C]
-                assert np.allclose(q.T @ q, np.eye(n), atol=1e-15)
+    assert p24_split._plans[((0, 1), (1, 2))] is subs
+    # E on the circle and on the cat factor, F on the cat factor
+    assert [(f, s, b.shape) for f, s, b, _ in subs["e"]] == [(0, 0, (1, 1)), (1, 1, (2, 1))]
+    assert [(f, s, b.shape) for f, s, b, _ in subs["f"]] == [(1, 1, (2, 1))]
+    for _, _, b, qt in subs["e"] + subs["f"]:
+        n, k = b.shape
+        assert np.array_equal(qt[:k], b.T)   # Q = [B | C]
+        assert np.allclose(qt @ qt.T, np.eye(n), atol=1e-15)
     # two columns 1e-13 apart pass the transversality test (matrix_rank)
     # but not orthonormalize's, so the splitting itself is rejected
     e = np.array([[1.0, 1.0], [0.0, 1e-13], [0.0, 0.0]])

@@ -147,6 +147,14 @@ def test_mean_hyperbolicity_degree(cat, cat_split, p24, p24_split):
                                            p24_split, K=1, horizon=100)
     assert lo24 == pytest.approx(-LOG2, abs=1e-12)
     assert hi24 == pytest.approx(LOG_U, abs=1e-12)
+    # with no inverse there is no backward F average
+    forward = dyn.make_system({
+        "kind": "composite", "dim": 2, "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+        "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+        "e_basis": cat_split.e_basis.tolist(), "f_basis": cat_split.f_basis.tolist()})
+    lo, hi = mean_hyperbolicity_degree(forward, np.array([0.2, 0.7]), forward.splitting,
+                                       K=2, horizon=100)
+    assert lo == pytest.approx(-LOG_U, abs=1e-12) and hi is None
 
 
 def test_block_geometry_two_intervals():
