@@ -80,16 +80,18 @@ class OrbitData:
     multiplies R over windows, :meth:`full_e_logs` / :meth:`full_f_logs`
     from time 0.  Where every frame column has exact zeros outside one of
     ``system.factors``, over which Df is block diagonal, each bundle is the
-    sum of its per-factor sub-bundles, restricted apart, and only F's factors
-    are orbited backward (product24: cat, no circle inverse); else the map
-    is one factor.  Operator norms are the max over E's sub-bundles, minimal
-    norms the min over F's.  R is formed in row blocks by one pair of 2-D
-    GEMMs per sub-bundle, in its factor's coordinates, Df B and Q^T (Df B)
-    with Q = [B | C]: R(t) on top, bit for bit B^T (Df B), C^T Df B below.
-    These are a one-factor R's sums less exact zeros, and log is monotone, so
-    block logs keep their bits.  Raises DegenerateSplittingError when Df
-    moves a sub-bundle off itself by more than _INVARIANCE_TOL of the largest
-    Jacobian entry, SingularRestrictionError on a non-finite Jacobian.
+    sum of its per-factor sub-bundles, restricted apart; else the map is one
+    factor.  Every Jacobian comes from a factor map, in its coordinates, on
+    the map's one forward orbit or on a backward orbit of one of F's factors
+    (product24: cat).  Operator norms are the max over E's sub-bundles,
+    minimal norms the min over F's.  R is formed in row blocks by one pair
+    of 2-D GEMMs per sub-bundle, Df B and Q^T (Df B) with Q = [B | C]: R(t)
+    on top, bit for bit B^T (Df B), C^T Df B below.  These are a one-factor
+    R's sums less exact zeros, and log is monotone, so block logs keep their
+    bits.  Raises ValueError on a non-finite point, DegenerateSplittingError
+    when Df moves a sub-bundle off itself by more than _INVARIANCE_TOL of
+    the largest Jacobian entry, SingularRestrictionError on a non-finite
+    Jacobian.
     """
 
     def __init__(self, system, xs, splitting, n_fwd, n_back=0):
@@ -97,6 +99,8 @@ class OrbitData:
         if xs.shape[1] != system.dim:
             raise DimensionMismatchError(
                 f"points of dimension {xs.shape[1]} for system of dimension {system.dim}")
+        if not np.isfinite(xs).all():
+            raise ValueError("points must have finite coordinates")
         if splitting.dim != system.dim:
             raise DimensionMismatchError("splitting does not match system dimension")
         if n_back and not system.invertible:
@@ -111,20 +115,23 @@ class OrbitData:
             splitting._plans[layout] = _subbundles(splitting._frames, layout)
         subs = splitting._plans[layout]
         self._r = {name: [np.empty((self.n_fwd - self._first[name], self.batch, k, k))
-                          for k in (b.shape[1] for _, _, b, _ in sub)]
+                          for k in (b.shape[1] for _, b, _ in sub)]
                    for name, sub in subs.items()}
-        # (map, first time, its first coordinate, sub-bundles as (R from the
-        # first time on, first coordinate in the map, B, Q^T)): the whole map
-        # forward, then each of F's factors backward
-        runs = [(system, 0, 0, [(r[len(r) - self.n_fwd:], s, b, qt) for name in subs
-                                for r, (_, s, b, qt) in zip(self._r[name], subs[name])])]
-        if self.n_back:
-            runs += [(system if f is None else system.factors[f][0], -self.n_back, s,
-                      [(r, 0, b, qt)]) for r, (f, s, b, qt) in zip(self._r["f"], subs["f"])]
+        # (first time, factor map, first coordinate) -> its sub-bundles as (R
+        # from the first time on, B, Q^T): each factor forward, F's backward
+        maps = {(s, f.dim): f for f, s in system.factors}
+        runs = {}
+        for name, sub in subs.items():
+            for r, (s, b, qt) in zip(self._r[name], sub):
+                m = maps.get((s, len(b)), system)   # the whole map, if on no factor
+                runs.setdefault((0, m, s), []).append((r[len(r) - self.n_fwd:], b, qt))
+                if name == "f" and self.n_back:
+                    runs[-self.n_back, m, s] = [(r, b, qt)]
+        fwd = dyn.orbit_many(system, xs, self.n_fwd)[:-1]
         defect = scale = 0.0
-        for m, t0, c, targets in runs:
-            pts = (dyn.orbit_many_back(m, xs[:, c:c + m.dim], -t0)[:0:-1] if t0 else
-                   dyn.orbit_many(m, xs, self.n_fwd)[:-1]).reshape(-1, m.dim)
+        for (t0, m, s), targets in runs.items():
+            pts = (dyn.orbit_many_back(m, xs[:, s:s + m.dim], -t0)[:0:-1] if t0
+                   else fwd[:, :, s:s + m.dim]).reshape(-1, m.dim)
             for i in range(0, len(pts), _RESTRICT_ROWS):
                 jac = m.jacobian_many(pts[i:i + _RESTRICT_ROWS])
                 hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
@@ -133,9 +140,9 @@ class OrbitData:
                     raise SingularRestrictionError(
                         f"non-finite Jacobian at orbit time {row // self.batch + t0}")
                 scale = max(scale, hi, -lo)
-                for r, s, b, qt in targets:
+                for r, b, qt in targets:
                     n, k = b.shape
-                    image = (jac[:, s:s + n, s:s + n].reshape(-1, n) @ b).reshape(-1, n, k)
+                    image = (jac.reshape(-1, n) @ b).reshape(-1, n, k)
                     out = (qt @ image.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, k)
                     r.reshape(-1, k, k)[i:i + len(jac)] = out[:k].swapaxes(0, 1)
                     if k < n:   # a sub-bundle that fills its factor has no defect
@@ -250,10 +257,10 @@ class OrbitData:
 
 def _subbundles(frames, layout):
     """Each bundle's sub-bundles for a factor layout ((first coordinate,
-    dim), ...): (factor index, or None for the whole map, its first
-    coordinate, B, Q^T) with B the bundle's frame columns on that factor, in
-    its coordinates, and Q = [B | C] orthogonal.  A frame column that is not
-    zero outside one factor makes the map one factor."""
+    dim), ...): (the factor's first coordinate, B, Q^T) with B the bundle's
+    frame columns on that factor, in its coordinates, and Q = [B | C]
+    orthogonal.  A frame column that is not zero outside one factor makes
+    the map one factor, (0, d)."""
     owner = np.repeat(np.arange(len(layout)), [n for _, n in layout])
     subs = {}
     for name, b in frames.items():
@@ -265,8 +272,7 @@ def _subbundles(frames, layout):
             bi = b[s:s + n, [c for c, h in enumerate(hosts) if h == {i}]]
             if bi.size:
                 ci = np.linalg.qr(bi, mode="complete")[0][:, bi.shape[1]:]
-                subs[name].append((None if len(layout) == 1 else i, s, bi,
-                                   np.hstack([bi, ci]).T))
+                subs[name].append((s, bi, np.hstack([bi, ci]).T))
     return subs
 
 
@@ -409,12 +415,7 @@ def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
     logs = _qr_logs_2d(prods) if d == 2 else _qr_logs(prods)
     burn = n_chunks // 10
     values = np.sort(logs[burn:].sum(axis=0) / ((n_chunks - burn) * chunk))
-    groups = [[values[0]]]
-    for v in values[1:]:
-        if v - groups[-1][-1] <= merge_tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
+    groups = np.split(values, np.flatnonzero(~(np.diff(values) <= merge_tol)) + 1)
     exps = tuple(float(np.mean(g)) for g in groups)
     mults = tuple(len(g) for g in groups)
     stable = sum(1 for e in exps if e < 0.0)  # index of the last negative exponent

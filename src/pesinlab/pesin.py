@@ -314,11 +314,8 @@ def min_block_scan_product24(x_values, zeta, horizon):
         raise ValueError(f"horizon too short: {horizon}")
     xs = dyn.wrap(np.atleast_1d(np.asarray(x_values, dtype=float)))
     T = int(horizon)
-    logg = np.empty((T + 1, len(xs)))
-    cur = xs.copy()
-    for t in range(T + 1):
-        logg[t] = np.log(dyn.g_prime(cur))
-        cur = dyn.g_map(cur)
+    circle = dyn.CircleG()
+    logg = np.log(circle.jacobian_many(dyn.orbit_many(circle, xs[:, None], T))[..., 0, 0])
     e = np.maximum(logg, log_s)                     # per-step E log norms
     ks = np.arange(1, T + 1)[:, None]
 

@@ -92,9 +92,11 @@ class Cover:
         object.__setattr__(self, "radii", radii)
         if len(centers) != len(radii) or len(centers) == 0:
             raise ValueError("cover needs matching nonempty centers and radii")
+        if not np.isfinite(centers).all():
+            raise ValueError("cover centers must be finite")
         if not self.mesh > 0.0:
             raise ValueError(f"mesh must be positive, got {self.mesh}")
-        if np.any(radii <= 0.0) or np.any(radii > self.mesh / 2.0):
+        if not np.all((radii > 0.0) & (radii <= self.mesh / 2.0)):
             raise ValueError("radii must lie in (0, mesh/2]")
         object.__setattr__(self, "_grid", _Grid(centers, float(radii.max())))
 
@@ -159,10 +161,6 @@ class TransitionTable:
 
     X: np.ndarray
     witnesses: np.ndarray
-    min_n: int
-    horizon: int
-    budget: int
-    seed: int
 
     @property
     def resolved(self):
@@ -228,9 +226,7 @@ def transition_times(system, cover, min_n, horizon, budget, seed=0):
         X.ravel()[better] = key // span
         witnesses[better] = orbit[key % span]
     X[X == unseen] = -1
-    return TransitionTable(X=X, witnesses=witnesses.reshape(m, m, d),
-                           min_n=int(min_n), horizon=int(horizon),
-                           budget=int(budget), seed=int(seed))
+    return TransitionTable(X=X, witnesses=witnesses.reshape(m, m, d))
 
 
 def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
@@ -375,15 +371,18 @@ class EmpiricalMeasure:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = dyn.wrap(np.atleast_2d(np.asarray(self.points, dtype=float)))
-        object.__setattr__(self, "points", pts)
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if len(pts) == 0:
             raise ValueError("measure needs at least one support point")
+        if not np.isfinite(pts).all():
+            raise ValueError("support points must be finite")
+        pts = dyn.wrap(pts)
+        object.__setattr__(self, "points", pts)
         if self.weights is None:
             w = np.full(len(pts), 1.0 / len(pts))
         else:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (len(pts),) or np.any(w <= 0.0):
+            if w.shape != (len(pts),) or not np.all(w > 0.0):
                 raise ValueError("weights must be positive, one per point")
             total = w.sum()
             if abs(total - 1.0) > 1e-9:

@@ -168,6 +168,8 @@ def as_point(coords, dim=None):
         raise DimensionMismatchError(f"point must be 1-d, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {p.shape[0]}")
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError(f"point has a non-finite coordinate: {p.tolist()}")
     return wrap(p)
 
 
@@ -196,9 +198,9 @@ class TorusMap:
     def factors(self):
         """(factor map, first coordinate) pairs, in coordinate order, over
         which the Jacobian is block diagonal; by default the map alone.  The
-        cocycle restricts and orbits backward factor by factor, so each
-        factor map must step and differentiate as the map does on its
-        coordinates: a subclass that changes either declares its own."""
+        cocycle reads every Jacobian and backward orbit from a factor map,
+        and Product24's kernels run its factors', so a product changes a
+        block by changing its factor."""
         return ((self, 0),)
 
     def step(self, p):
@@ -285,49 +287,41 @@ class CircleG(TorusMap):
         return g_inverse(self._check(pts))
 
     def jacobian_many(self, pts):
-        pts = self._check(pts)
-        return g_prime(pts)[..., None]
+        return g_prime(self._check(pts))[..., None]
 
     def orbit(self, p, n):
         return np.array(_g_orbit1(float(p[0]), n))[:, None]
 
 
-_CIRCLE, _CAT = CircleG(), CatMap()
-
-
 class Product24(TorusMap):
-    """Product of the circle factor with the cat map on T^3 = S^1 x T^2."""
+    """CircleG x CatMap on T^3 = S^1 x T^2; every kernel runs its factors'."""
 
     dim = 3
     name = "product24"
-    factors = ((_CIRCLE, 0), (_CAT, 1))
+    factors = ((CircleG(), 0), (CatMap(), 1))
 
     def step_many(self, pts):
-        pts = self._check(pts)
-        out = np.empty_like(pts)
-        out[..., 0] = g_map(pts[..., 0])
-        out[..., 1:] = wrap(pts[..., 1:] @ CAT_MATRIX.T)
-        return out
+        return self._by_factor(pts, "step_many")
 
     def inverse_many(self, pts):
-        pts = self._check(pts)
-        out = np.empty_like(pts)
-        out[..., 0] = g_inverse(pts[..., 0])
-        out[..., 1:] = wrap(pts[..., 1:] @ CAT_INVERSE.T)
-        return out
+        return self._by_factor(pts, "inverse_many")
 
     def jacobian_many(self, pts):
         pts = self._check(pts)
-        n = pts.shape[:-1]
-        jac = np.zeros(n + (3, 3))
-        jac[..., 0, 0] = g_prime(pts[..., 0])
-        jac[..., 1:, 1:] = CAT_MATRIX
+        jac = np.zeros(pts.shape[:-1] + (self.dim, self.dim))
+        for m, s in self.factors:
+            jac[..., s:s + m.dim, s:s + m.dim] = m.jacobian_many(pts[..., s:s + m.dim])
         return jac
 
-    # The factors are independent, so an orbit is the circle orbit of x0
-    # beside the cat orbit of (x1, x2).
     def orbit(self, p, n):
-        return np.column_stack((_CIRCLE.orbit(p[:1], n), _CAT.orbit(p[1:], n)))
+        return np.concatenate([m.orbit(p[s:s + m.dim], n) for m, s in self.factors], axis=1)
+
+    def _by_factor(self, pts, kernel):
+        pts = self._check(pts)
+        out = np.empty_like(pts)
+        for m, s in self.factors:
+            out[..., s:s + m.dim] = getattr(m, kernel)(pts[..., s:s + m.dim])
+        return out
 
 
 _FORMULA_FUNCS = {
@@ -560,17 +554,10 @@ def reference_splitting(system):
         e = np.array([[(1.0 - _SQRT5) / 2.0], [1.0]])
         f = np.array([[1.0], [(_SQRT5 - 1.0) / 2.0]])
         return Splitting(e, f)
-    if isinstance(system, Product24):
-        e2 = np.array([(1.0 - _SQRT5) / 2.0, 1.0])
-        e2 = e2 / np.linalg.norm(e2)
-        f2 = np.array([1.0, (_SQRT5 - 1.0) / 2.0])
-        f2 = f2 / np.linalg.norm(f2)
-        e = np.zeros((3, 2))
-        e[0, 0] = 1.0
-        e[1:, 1] = e2
-        f = np.zeros((3, 1))
-        f[1:, 0] = f2
-        return Splitting(e, f)
+    if isinstance(system, Product24):   # the circle axis joins the cat map's E
+        cat = reference_splitting(CatMap())
+        return Splitting(np.block([[1.0, 0.0], [np.zeros((2, 1)), cat.e_basis]]),
+                         np.vstack([[0.0], cat.f_basis]))
     if isinstance(system, CompositeMap) and system.splitting is not None:
         return system.splitting
     raise UnsupportedSystemError(

@@ -691,6 +691,25 @@ def test_non_finite_jacobian_raises(monkeypatch, cat_split):
         OrbitData(system, np.array([0.2, 0.7]), system.splitting, n_fwd=0, n_back=3)
 
 
+_P24, _CAT = dyn.make_system("product24"), dyn.make_system("cat")
+
+
+@pytest.mark.parametrize("call", [
+    # the cat block's Jacobian is constant, so these used to pass
+    lambda: check_block_membership_many(_P24, [[0.1, math.inf, 0.3]],
+                                        dyn.reference_splitting(_P24), PesinParams(1, 0.4, 3), 60),
+    lambda: check_quasi_hyperbolic(_CAT, [math.nan, 0.1], 10, dyn.reference_splitting(_CAT),
+                                   0.2, canonical_partition(10, 2, 1)),
+    lambda: lyapunov_spectrum(_CAT, [math.nan, 0.1], 100),
+    # a NaN circle coordinate used to raise SingularRestrictionError
+    lambda: OrbitData(_P24, [[math.nan, 0.3, 0.7], [0.1, 0.3, 0.7]],
+                      dyn.reference_splitting(_P24), n_fwd=10, n_back=10),
+], ids=["membership-inf", "segment-nan", "spectrum-nan", "circle-nan"])
+def test_non_finite_start_is_bad_input(call):
+    with pytest.raises(ValueError, match="finite coordinate"):
+        call()
+
+
 def test_block_logs_raise_when_a_window_product_overflows(p24, p24_split):
     # at fiber 1/2 both the circle and the cat direction expand by
     # (3 + sqrt5)/2 a step: 800 steps leave the float range on E (2x2) and F
@@ -717,10 +736,11 @@ def test_splitting_frames_computed_once(p24, p24_split):
     subs = p24_split._plans[((0, 1), (1, 2))]
     OrbitData(p24, np.array([0.4, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
     assert p24_split._plans[((0, 1), (1, 2))] is subs
-    # E on the circle and on the cat factor, F on the cat factor
-    assert [(f, s, b.shape) for f, s, b, _ in subs["e"]] == [(0, 0, (1, 1)), (1, 1, (2, 1))]
-    assert [(f, s, b.shape) for f, s, b, _ in subs["f"]] == [(1, 1, (2, 1))]
-    for _, _, b, qt in subs["e"] + subs["f"]:
+    # E on the circle (first coordinate 0) and on the cat factor (1), F on
+    # the cat factor
+    assert [(s, b.shape) for s, b, _ in subs["e"]] == [(0, (1, 1)), (1, (2, 1))]
+    assert [(s, b.shape) for s, b, _ in subs["f"]] == [(1, (2, 1))]
+    for _, b, qt in subs["e"] + subs["f"]:
         n, k = b.shape
         assert np.array_equal(qt[:k], b.T)   # Q = [B | C]
         assert np.allclose(qt @ qt.T, np.eye(n), atol=1e-15)
@@ -731,13 +751,24 @@ def test_splitting_frames_computed_once(p24, p24_split):
         dyn.Splitting(e, np.array([[0.0], [0.0], [1.0]]))
 
 
-class _OneFactorP24(dyn.Product24):
+class _OneFactorP24(dyn.TorusMap):
     """product24 restricted as one factor: the whole-map oracle of the
     per-factor restriction."""
 
-    @property
-    def factors(self):
-        return ((self, 0),)
+    dim, name = 3, "product24-one-factor"
+    _map = dyn.Product24()
+
+    def step_many(self, pts):
+        return self._map.step_many(pts)
+
+    def inverse_many(self, pts):
+        return self._map.inverse_many(pts)
+
+    def jacobian_many(self, pts):
+        return self._map.jacobian_many(pts)
+
+    def orbit(self, p, n):
+        return self._map.orbit(p, n)
 
 
 _ONE_FACTOR_P24 = _OneFactorP24()
@@ -804,18 +835,16 @@ class _ShearedCat(dyn.CatMap):
 
 class _ShearedP24(dyn.Product24):
     """product24 with its cat block sheared: F leaves itself within the cat
-    factor, forward through the product and backward through the factor."""
+    factor, forward and backward."""
 
     factors = ((dyn.CircleG(), 0), (_ShearedCat(), 1))
-
-    def jacobian_many(self, pts):
-        jac = super().jacobian_many(pts)
-        jac[..., 1, 2] += 0.5
-        return jac
 
 
 def test_defect_within_a_factor_is_caught(p24_split):
     x = np.array([0.2, 0.3, 0.7])
+    # the product's own Jacobian carries its factor's sheared block
+    jac = _ShearedP24().jacobian_many(np.vstack([x, x]))
+    assert (jac[:, 1:, 1:] == [[2.0, 1.5], [1.0, 1.0]]).all()
     with pytest.raises(DegenerateSplittingError, match="invariant"):
         OrbitData(_ShearedP24(), x, p24_split, n_fwd=5)
     with pytest.raises(DegenerateSplittingError, match="invariant"):
@@ -826,13 +855,16 @@ def test_non_finite_circle_jacobian_names_its_time(p24, p24_split):
     xs = np.random.default_rng(23).random((3, 3))
     at = dyn.orbit_points(p24, xs[1], 4)[3, 0]
 
-    class NanAtOnePoint(dyn.Product24):
+    class NanAtOnePoint(dyn.CircleG):
         def jacobian_many(self, pts):
             jac = super().jacobian_many(pts)
             jac[pts[..., 0] == at, 0, 0] = np.nan
             return jac
 
+    class NanProduct(dyn.Product24):
+        factors = ((NanAtOnePoint(), 0), (dyn.CatMap(), 1))
+
     for batch in (xs[1:2], xs):
         with pytest.raises(SingularRestrictionError,
                            match=r"non-finite Jacobian at orbit time 3$"):
-            OrbitData(NanAtOnePoint(), batch, p24_split, n_fwd=10, n_back=10)
+            OrbitData(NanProduct(), batch, p24_split, n_fwd=10, n_back=10)

@@ -487,8 +487,7 @@ def _glue_pieces(cat):
     """A one-ball cover, a table with one transit and the plan gluing the
     fixed point 0 to itself."""
     cover = build_cover([[0.0, 0.0]], 0.2)
-    table = TransitionTable(X=np.array([[3]]), witnesses=np.zeros((1, 1, 2)),
-                            min_n=2, horizon=10, budget=1, seed=0)
+    table = TransitionTable(X=np.array([[3]]), witnesses=np.zeros((1, 1, 2)))
     return cover, table, glue_segments(cat, [(np.zeros(2), 5)], cover, table)
 
 

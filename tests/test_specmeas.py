@@ -57,6 +57,15 @@ def test_cover_validation():
         Cover(centers=[[0.0, 0.0], [0.5, 0.5]], radii=[0.05], mesh=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cover_rejects_non_finite_centers_and_radii(bad):
+    # a NaN center would build its grid cell from an invalid integer cast
+    with pytest.raises(ValueError, match="centers must be finite"):
+        Cover(centers=[[bad, 0.1], [0.5, 0.5]], radii=[0.05, 0.05], mesh=0.1)
+    with pytest.raises(ValueError, match="radii"):
+        Cover(centers=[[0.1, 0.1], [0.5, 0.5]], radii=[0.05, bad], mesh=0.1)
+
+
 def test_cover_covers_its_samples_and_locate():
     pts = _grid_points(40)
     cov = build_cover(pts, 0.1)
@@ -258,9 +267,7 @@ def test_transition_times_validation(cat):
 
 def test_glue_unresolved_transit_raises(cat):
     cov = build_cover([[0.0, 0.0]], 0.2)
-    empty = TransitionTable(X=np.array([[-1]]),
-                            witnesses=np.full((1, 1, 2), np.nan),
-                            min_n=2, horizon=10, budget=1, seed=0)
+    empty = TransitionTable(X=np.array([[-1]]), witnesses=np.full((1, 1, 2), np.nan))
     with pytest.raises(UnresolvedTransitionError):
         glue_segments(cat, [(np.array([0.0, 0.0]), 5)], cov, empty)
     with pytest.raises(ValueError):
@@ -379,6 +386,18 @@ def test_empirical_measure_validation():
     assert m.dim == 2
     with pytest.raises(ValueError):
         EmpiricalMeasure.from_orbit(None, np.zeros(2), 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_measure_rejects_non_finite_input(bad):
+    # a NaN support point made every weak-* distance NaN, and a NaN weight
+    # passed both the sign and the sum test
+    with pytest.raises(ValueError, match="support points must be finite"):
+        EmpiricalMeasure(points=[[0.1, bad], [0.3, 0.4]])
+    with pytest.raises(ValueError, match="weights"):
+        EmpiricalMeasure(points=[[0.1, 0.2]], weights=[bad])
+    with pytest.raises(ValueError, match="weights"):
+        EmpiricalMeasure(points=[[0.1, 0.2], [0.3, 0.4]], weights=[1.0, bad])
 
 
 def test_approximate_invariant_measure(cat):

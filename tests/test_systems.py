@@ -277,3 +277,20 @@ def test_as_point_validation():
         dyn.as_point(np.array([[0.1, 0.2]]), dim=2)
     with pytest.raises(DimensionMismatchError):
         dyn.as_point(np.array([0.1, 0.2, 0.3]), dim=2)
+
+
+def test_product24_kernels_are_its_factors_kernels():
+    p24, circle, cat = dyn.Product24(), dyn.CircleG(), dyn.CatMap()
+    pts = np.random.default_rng(5).random((4, 250, 3))
+    pts[0, :3] = [[0.0, 0.5, 0.25], [0.5, 0.0, 0.0], [np.nextafter(1.0, 0.0), 0.1, 0.9]]
+    for kernel in ("step_many", "inverse_many"):
+        want = np.concatenate([getattr(circle, kernel)(pts[..., :1]),
+                               getattr(cat, kernel)(pts[..., 1:])], axis=-1)
+        assert np.array_equal(getattr(p24, kernel)(pts), want)
+    jac = p24.jacobian_many(pts)
+    assert np.array_equal(jac[..., :1, :1], circle.jacobian_many(pts[..., :1]))
+    assert np.array_equal(jac[..., 1:, 1:], cat.jacobian_many(pts[..., 1:]))
+    assert not jac[..., :1, 1:].any() and not jac[..., 1:, :1].any()
+    for p in pts[0, :20]:
+        want = np.column_stack([circle.orbit(p[:1], 40), cat.orbit(p[1:], 40)])
+        assert np.array_equal(p24.orbit(p, 40), want)
