@@ -127,11 +127,11 @@ class OrbitData:
                 runs.setdefault((0, m, s), []).append((r[len(r) - self.n_fwd:], b, qt))
                 if name == "f" and self.n_back:
                     runs[-self.n_back, m, s] = [(r, b, qt)]
-        fwd = dyn.orbit_many(system, xs, self.n_fwd)[:-1]
+        fwd = dyn.orbit_many(system, xs, self.n_fwd)[:-1].reshape(-1, system.dim)
         defect = scale = 0.0
         for (t0, m, s), targets in runs.items():
-            pts = (dyn.orbit_many_back(m, xs[:, s:s + m.dim], -t0)[:0:-1] if t0
-                   else fwd[:, :, s:s + m.dim]).reshape(-1, m.dim)
+            pts = (dyn.orbit_many_back(m, xs[:, s:s + m.dim], -t0)[:0:-1].reshape(-1, m.dim)
+                   if t0 else fwd[:, s:s + m.dim])
             for i in range(0, len(pts), _RESTRICT_ROWS):
                 jac = m.jacobian_many(pts[i:i + _RESTRICT_ROWS])
                 hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
