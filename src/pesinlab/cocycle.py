@@ -81,16 +81,17 @@ class OrbitData:
     from time 0.  Where every frame column has exact zeros outside one of
     ``system.factors``, over which Df is block diagonal, each bundle is the
     sum of its per-factor sub-bundles, restricted apart; else the map is one
-    factor.  Every Jacobian comes from a factor map, in its coordinates, on
-    the map's one forward orbit or on a backward orbit of one of F's factors
-    (product24: cat).  Operator norms are the max over E's sub-bundles,
-    minimal norms the min over F's.  R is formed in row blocks by one pair
-    of 2-D GEMMs per sub-bundle, Df B and Q^T (Df B) with Q = [B | C]: R(t)
-    on top, bit for bit B^T (Df B), C^T Df B below.  These are a one-factor
-    R's sums less exact zeros, and log is monotone, so block logs keep their
-    bits.  Raises ValueError on a non-finite point, DegenerateSplittingError
-    when Df moves a sub-bundle off itself by more than _INVARIANCE_TOL of
-    the largest Jacobian entry, SingularRestrictionError on a non-finite
+    factor.  Operator norms are the max over E's sub-bundles, minimal norms
+    the min over F's.  Each factor is orbited alone, forward, and backward
+    if F has a sub-bundle on it; one with a ``constant_jacobian`` is never
+    orbited, its R taken from one Jacobian row (product24 orbits the circle
+    alone).  R is formed in row blocks by one pair of 2-D GEMMs per
+    sub-bundle, Df B and Q^T (Df B) with Q = [B | C]: R(t) on top, bit for
+    bit B^T (Df B), C^T Df B below.  These are a one-factor R's sums less
+    exact zeros, and log is monotone, so block logs keep their bits.
+    Raises ValueError on a non-finite point, DegenerateSplittingError when
+    Df moves a sub-bundle off itself by more than _INVARIANCE_TOL of the
+    largest Jacobian entry, SingularRestrictionError on a non-finite
     Jacobian.
     """
 
@@ -113,25 +114,27 @@ class OrbitData:
         layout = tuple((s, f.dim) for f, s in system.factors)
         if layout not in splitting._plans:
             splitting._plans[layout] = _subbundles(splitting._frames, layout)
-        subs = splitting._plans[layout]
+        subs, runs = splitting._plans[layout]
         self._r = {name: [np.empty((self.n_fwd - self._first[name], self.batch, k, k))
                           for k in (b.shape[1] for _, b, _ in sub)]
                    for name, sub in subs.items()}
-        # (first time, factor map, first coordinate) -> its sub-bundles as (R
-        # from the first time on, B, Q^T): each factor forward, F's backward
-        maps = {(s, f.dim): f for f, s in system.factors}
-        runs = {}
-        for name, sub in subs.items():
-            for r, (s, b, qt) in zip(self._r[name], sub):
-                m = maps.get((s, len(b)), system)   # the whole map, if on no factor
-                runs.setdefault((0, m, s), []).append((r[len(r) - self.n_fwd:], b, qt))
-                if name == "f" and self.n_back:
-                    runs[-self.n_back, m, s] = [(r, b, qt)]
-        fwd = dyn.orbit_many(system, xs, self.n_fwd)[:-1].reshape(-1, system.dim)
         defect = scale = 0.0
-        for (t0, m, s), targets in runs.items():
-            pts = (dyn.orbit_many_back(m, xs[:, s:s + m.dim], -t0)[:0:-1].reshape(-1, m.dim)
-                   if t0 else fwd[:, s:s + m.dim])
+        for back, f, s, targets in runs:
+            m = system if f is None else system.factors[f][0]
+            const = m.constant_jacobian is not None
+            if back and (const or not self.n_back):
+                continue
+            p, rs = xs[:, s:s + m.dim], [(self._r[n][j], b, qt) for n, j, b, qt in targets]
+            if const:   # one Jacobian row gives R at every time
+                t0, pts, rs = 0, p[:1], [(r, b, qt) for r, b, qt in rs if len(r)]
+            elif back:
+                t0, pts = -self.n_back, dyn.orbit_many_back(m, p, self.n_back)[:0:-1]
+            else:
+                t0, pts = 0, dyn.orbit_many(m, p, self.n_fwd)[:-1]
+                rs = [(r[len(r) - self.n_fwd:], b, qt) for r, b, qt in rs]
+            if not rs:
+                continue
+            pts = pts.reshape(-1, m.dim)
             for i in range(0, len(pts), _RESTRICT_ROWS):
                 jac = m.jacobian_many(pts[i:i + _RESTRICT_ROWS])
                 hi, lo = float(jac.max()), float(jac.min())   # numpy's max keeps NaN
@@ -140,11 +143,12 @@ class OrbitData:
                     raise SingularRestrictionError(
                         f"non-finite Jacobian at orbit time {row // self.batch + t0}")
                 scale = max(scale, hi, -lo)
-                for r, b, qt in targets:
+                for r, b, qt in rs:
                     n, k = b.shape
                     image = (jac.reshape(-1, n) @ b).reshape(-1, n, k)
                     out = (qt @ image.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, k)
-                    r.reshape(-1, k, k)[i:i + len(jac)] = out[:k].swapaxes(0, 1)
+                    rows = r if const else r.reshape(-1, k, k)[i:i + len(jac)]
+                    rows[...] = out[:k].swapaxes(0, 1)   # a constant R fills every time
                     if k < n:   # a sub-bundle that fills its factor has no defect
                         defect = max(defect, float(np.abs(out[k:]).max()))
         if defect > _INVARIANCE_TOL * scale:
@@ -256,13 +260,16 @@ class OrbitData:
 
 
 def _subbundles(frames, layout):
-    """Each bundle's sub-bundles for a factor layout ((first coordinate,
-    dim), ...): (the factor's first coordinate, B, Q^T) with B the bundle's
-    frame columns on that factor, in its coordinates, and Q = [B | C]
-    orthogonal.  A frame column that is not zero outside one factor makes
-    the map one factor, (0, d)."""
+    """Sub-bundles and runs for a factor layout ((first coordinate, dim), ...).
+
+    Each bundle's sub-bundles are (the factor's first coordinate, B, Q^T),
+    B the bundle's frame columns on that factor, Q = [B | C] orthogonal.
+    Runs are (backward, factor index, first coordinate, ((bundle, index, B,
+    Q^T), ...)): forward on each factor, backward on each of F's.  A frame
+    column not zero outside one factor makes the map one factor, index None.
+    """
     owner = np.repeat(np.arange(len(layout)), [n for _, n in layout])
-    subs = {}
+    subs, runs = {}, {}
     for name, b in frames.items():
         hosts = [set(owner[col != 0.0].tolist()) for col in b.T]
         if any(len(h) != 1 for h in hosts):
@@ -272,8 +279,14 @@ def _subbundles(frames, layout):
             bi = b[s:s + n, [c for c, h in enumerate(hosts) if h == {i}]]
             if bi.size:
                 ci = np.linalg.qr(bi, mode="complete")[0][:, bi.shape[1]:]
-                subs[name].append((s, bi, np.hstack([bi, ci]).T))
-    return subs
+                qt = np.hstack([bi, ci]).T
+                target = (name, len(subs[name]), bi, qt)
+                subs[name].append((s, bi, qt))
+                f = i if len(layout) > 1 else None
+                runs.setdefault((False, f, s), []).append(target)
+                if name == "f":
+                    runs[True, f, s] = [target]
+    return subs, [key + (tuple(t),) for key, t in runs.items()]
 
 
 def _prefix_sum(a):
@@ -395,26 +408,39 @@ def _qr_logs_2d(prods):
 
 
 def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
-    """Lyapunov exponents by QR reorthonormalization along the orbit.
+    """Lyapunov exponents by QR reorthonormalization along the orbit of each
+    factor of ``system.factors``: a product's spectrum is its factors'.
 
     Jacobians are accumulated over short chunks before each QR step (the
     R-diagonals telescope to the same product), and the first 10% of the
     chunks are discarded as burn-in so the frame can align before averaging.
+    A factor with a constant Jacobian is never orbited: its chunks share one
+    product.  A 1-D factor needs no QR, a 2-D one takes plain-float steps.
     """
     if horizon < 10:
         raise ValueError(f"horizon too short for a spectrum: {horizon}")
     chunk = max(1, min(int(chunk), horizon // 8))
-    pts = dyn.orbit_points(system, x, horizon)
-    jac = system.jacobian_many(pts[:-1])
-    d = system.dim
+    x = dyn.as_point(x, system.dim)
     n_chunks = horizon // chunk
-    used = n_chunks * chunk
-    prods = jac[0:used:chunk].copy()
-    for s in range(1, chunk):
-        prods = jac[s:used:chunk] @ prods
-    logs = _qr_logs_2d(prods) if d == 2 else _qr_logs(prods)
     burn = n_chunks // 10
-    values = np.sort(logs[burn:].sum(axis=0) / ((n_chunks - burn) * chunk))
+    values = []
+    for m, s in system.factors:
+        p, d = x[s:s + m.dim], m.dim
+        if m.constant_jacobian is not None:   # every chunk has the same product
+            n, pts = 1, np.broadcast_to(p, (chunk, d))
+        else:
+            n, pts = n_chunks, m.orbit(p, horizon)[:n_chunks * chunk]
+        jac = m.jacobian_many(pts).reshape(n, chunk, d, d)
+        prods = jac[:, 0].copy()
+        for t in range(1, chunk):
+            prods = jac[:, t] @ prods
+        prods = np.broadcast_to(prods, (n_chunks, d, d))
+        if d == 1 and prods.all():   # a zero product raises in _qr_logs
+            logs = np.log(np.abs(prods[:, 0]))
+        else:
+            logs = _qr_logs_2d(prods) if d == 2 else _qr_logs(prods)
+        values.extend(logs[burn:].sum(axis=0) / ((n_chunks - burn) * chunk))
+    values = np.sort(values)
     groups = np.split(values, np.flatnonzero(~(np.diff(values) <= merge_tol)) + 1)
     exps = tuple(float(np.mean(g)) for g in groups)
     mults = tuple(len(g) for g in groups)

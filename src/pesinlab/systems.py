@@ -130,11 +130,6 @@ _G_TABLE_Y = g_map_lift(_G_TABLE_X)
 # np.sin's bits.  tests/test_systems.py checks both, so a numpy build whose
 # trig differs fails there.
 
-def _wrap1(x):
-    r = x % 1.0
-    return 0.0 if r == 1.0 else r
-
-
 def _g_orbit1(x, n):
     """[x, g(x), ..., g^n(x)] for one float: g_map's step, _sinpi and wrap
     included, as one loop of plain-float operations in the same order, since
@@ -193,6 +188,7 @@ class TorusMap:
     dim: int
     name: str
     invertible: bool = True
+    constant_jacobian = None   # Df at every point, if it does not depend on the point
 
     @property
     def factors(self):
@@ -239,6 +235,7 @@ class CatMap(TorusMap):
 
     dim = 2
     name = "cat"
+    constant_jacobian = CAT_MATRIX
 
     def step_many(self, pts):
         return wrap(self._check(pts) @ CAT_MATRIX.T)
@@ -248,7 +245,7 @@ class CatMap(TorusMap):
 
     def jacobian_many(self, pts):
         jac = np.empty(self._check(pts).shape[:-1] + (2, 2))
-        jac[...] = CAT_MATRIX
+        jac[...] = CatMap.constant_jacobian
         return jac
 
     def orbit(self, p, n):
@@ -260,16 +257,6 @@ class CatMap(TorusMap):
         pts = [(y, z)]
         for _ in range(n):
             y, z = (2.0 * y + z) % 1.0, (y + z) % 1.0
-            pts.append((y, z))
-        return np.array(pts)
-
-    def orbit_back(self, p, n):
-        # y - z and 2z - y round once, as in the matrix product with
-        # CAT_INVERSE; they can be negative, so each is wrapped as wrap does.
-        y, z = float(p[0]), float(p[1])
-        pts = [(y, z)]
-        for _ in range(n):
-            y, z = _wrap1(y - z), _wrap1(2.0 * z - y)
             pts.append((y, z))
         return np.array(pts)
 
@@ -498,7 +485,7 @@ class Splitting:
     ``e_basis`` is (d, dim E), ``f_basis`` is (d, dim F) with
     dim E + dim F = d and E, F transverse.  ``_frames`` maps 'e' and 'f' to
     an orthonormal basis of the bundle, read-only; ``_plans`` caches the
-    cocycle's sub-bundles per factor layout.  A numerically
+    cocycle's sub-bundles and their runs per factor layout.  A numerically
     rank-deficient bundle basis raises DegenerateSplittingError, from orthonormalize.
     """
 

@@ -19,7 +19,7 @@ from pesinlab.cocycle import (
     mean_exponents_many,
 )
 from pesinlab.errors import DegenerateSplittingError, SingularRestrictionError
-from pesinlab.pesin import PesinParams, check_block_membership_many
+from pesinlab.pesin import PesinParams, check_block_membership_many, min_block_index
 from pesinlab.quasihyp import canonical_partition, check_quasi_hyperbolic
 from pesinlab.systems import orthonormalize
 
@@ -393,6 +393,49 @@ def test_lyapunov_spectrum_rotation_zero():
         lyapunov_spectrum(rot, np.array([0.2]), 5)
 
 
+@settings(max_examples=12, deadline=None)
+@given(start=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
+       horizon=st.integers(10_000, 20_000))
+def test_factor_spectra_match_whole_map_qr(p24, start, horizon):
+    # the 3-D QR of product24's whole-map chunk products, with the chunking
+    # and burn-in of lyapunov_spectrum, against its spectra factor by factor
+    chunk, x = 8, np.array(start)
+    n_chunks = horizon // chunk
+    pts = dyn.orbit_points(p24, x, horizon)[:n_chunks * chunk]
+    jac = dyn.Product24().jacobian_many(pts).reshape(n_chunks, chunk, 3, 3)
+    prods = jac[:, 0].copy()
+    for t in range(1, chunk):
+        prods = jac[:, t] @ prods
+    logs = cocycle._qr_logs(prods)
+    burn = n_chunks // 10
+    want = np.sort(logs[burn:].sum(axis=0) / ((n_chunks - burn) * chunk))
+    spec = lyapunov_spectrum(p24, x, horizon, chunk=chunk)
+    assert np.abs(np.array(spec.values) - want).max() <= 1e-8
+
+
+def test_cat_factor_is_never_iterated(monkeypatch, cat, p24, p24_split):
+    # the cat map's Jacobian is one matrix, so no certificate or spectrum
+    # orbits it, forward or backward
+    xs = np.random.default_rng(25).random((20, 3))
+    calls = [
+        lambda: check_block_membership_many(p24, xs, p24_split, PesinParams(1, 0.4, 2), 60),
+        lambda: check_quasi_hyperbolic(p24, xs[0], 20, p24_split, 0.4,
+                                       canonical_partition(20, 2, 1)),
+        lambda: min_block_index(p24, xs[1], p24_split, 1, 0.4, 60),
+        lambda: mean_exponents(p24, xs[2], p24_split, 1, 300),
+        lambda: lyapunov_spectrum(cat, xs[3, 1:], 2000),
+        lambda: lyapunov_spectrum(p24, xs[4], 2000),
+    ]
+    want = [repr(call()) for call in calls]
+
+    def refuse(*args):
+        raise AssertionError("the cat map was iterated")
+
+    for name in ("orbit", "orbit_back", "step_many", "inverse_many"):
+        monkeypatch.setattr(dyn.CatMap, name, refuse)
+    assert [repr(call()) for call in calls] == want
+
+
 def test_mean_exponents_many_matches_single(p24, p24_split):
     xs = np.random.default_rng(4).random((4, 3))
     reps = mean_exponents_many(p24, xs, p24_split, K=2, horizon=30)
@@ -660,6 +703,8 @@ def test_defect_in_a_later_row_block_is_caught(monkeypatch, cat, cat_split):
     late = dyn.orbit_points(cat, x, 12)[10]
 
     class ShearAtOnePoint(dyn.CatMap):
+        constant_jacobian = None   # its Jacobian varies with the point
+
         def jacobian_many(self, pts):
             jac = super().jacobian_many(pts)
             jac[(pts == late).all(axis=-1), 0, 1] += 0.5
@@ -731,15 +776,23 @@ def test_splitting_frames_computed_once(p24, p24_split):
     assert not p24_split.e_basis.flags.writeable and not p24_split.f_basis.flags.writeable
     for b in frames.values():
         assert not b.flags.writeable
-    # the sub-bundles are built on the first OrbitData and then reused
+    # the sub-bundles and their runs are built on the first OrbitData and
+    # then reused
     OrbitData(p24, np.array([0.2, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
-    subs = p24_split._plans[((0, 1), (1, 2))]
+    plan = p24_split._plans[((0, 1), (1, 2))]
     OrbitData(p24, np.array([0.4, 0.3, 0.7]), p24_split, n_fwd=3, n_back=3)
-    assert p24_split._plans[((0, 1), (1, 2))] is subs
+    assert p24_split._plans[((0, 1), (1, 2))] is plan
+    subs, runs = plan
     # E on the circle (first coordinate 0) and on the cat factor (1), F on
     # the cat factor
     assert [(s, b.shape) for s, b, _ in subs["e"]] == [(0, (1, 1)), (1, (2, 1))]
     assert [(s, b.shape) for s, b, _ in subs["f"]] == [(1, (2, 1))]
+    # forward: the circle carries E's first sub-bundle, the cat factor E's
+    # second and F's; backward: the cat factor carries F's
+    assert [(back, f, s, [(name, j) for name, j, _, _ in targets])
+            for back, f, s, targets in runs] == [
+        (False, 0, 0, [("e", 0)]), (False, 1, 1, [("e", 1), ("f", 0)]),
+        (True, 1, 1, [("f", 0)])]
     for _, b, qt in subs["e"] + subs["f"]:
         n, k = b.shape
         assert np.array_equal(qt[:k], b.T)   # Q = [B | C]
