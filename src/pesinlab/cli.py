@@ -18,13 +18,7 @@ import numpy as np
 from . import cocycle, pesin, quasihyp, shadow, specmeas
 from . import systems as dyn
 from ._serialize import csv_text, dumps, fmt_float
-from .errors import (
-    ConvergenceError,
-    GeometryError,
-    NotInvertibleError,
-    SingularRestrictionError,
-    UnresolvedTransitionError,
-)
+from .errors import PesinLabError
 
 # sqrt(2)-1, sqrt(3)-1, sqrt(5)-2: fixed generic base point per dimension
 _DEFAULT_COORDS = (0.41421356237309515, 0.73205080756887729, 0.23606797749978969)
@@ -413,11 +407,10 @@ def main(argv=None):
     try:
         opt = _resolve_options(args)
         text = _COMMANDS[args.cmd](opt)
-    except (ConvergenceError, GeometryError, NotInvertibleError,
-            SingularRestrictionError, UnresolvedTransitionError) as exc:
-        print(f"pesinlab {args.cmd}: numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PesinLabError, ValueError, OSError) as exc:
+        if isinstance(exc, RuntimeError):   # the numerical failures
+            print(f"pesinlab {args.cmd}: numerical failure: {exc}", file=sys.stderr)
+            return 1
         print(f"pesinlab {args.cmd}: error: {exc}", file=sys.stderr)
         return 2
     if args.out:

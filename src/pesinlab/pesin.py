@@ -93,6 +93,8 @@ class _BlockTables:
     Holds, for every admissible (l, r) pair up to the horizon, the averaged
     forward E value, the averaged backward F value, the head ratio per k,
     and suffix extrema of each so that the slack at any k is a table lookup.
+    ``_e_means`` and ``_f_means`` (None with no inverse) are the (L, batch)
+    averages over whole blocks, lK steps for l = 1..L.
     """
 
     def __init__(self, system, xs, splitting, K, L):
@@ -118,6 +120,7 @@ class _BlockTables:
         for r in range(K):
             a_num[:, r, :] = full_e[r] + np.cumsum(block_e[r::K][:L], axis=0)
         a_val = a_num / steps
+        self._e_means = a_val[:, 0]
         self._a_suf = np.flip(np.maximum.accumulate(np.flip(a_val, 0), 0), 0).max(axis=1)
 
         # head ratios (full products) per k: max over r of (full_e - full_f)/(kK+r)
@@ -140,9 +143,10 @@ class _BlockTables:
             b_num[:, 0, :] = np.cumsum(block_fb, axis=0)
             b_num[:, 1:, :] = b_num[:, :1, :] + rem.reshape(L, K - 1, B)
             b_val = b_num / steps
+            self._f_means = b_val[:, 0]
             self._b_suf = np.flip(np.minimum.accumulate(np.flip(b_val, 0), 0), 0).min(axis=1)
         else:
-            self._b_suf = None
+            self._f_means = self._b_suf = None
 
     def slacks(self, k, zeta):
         """Arrays (batch,) of worst slacks (contraction, expansion, domination)."""
@@ -234,23 +238,20 @@ class HyperbolicityBudget:
     K0: int
 
 
-def budget_from_inputs(lambda_s, lambda_u, S, dom_rate, alpha, zeta, k1_floor=1):
+def budget_from_inputs(lambda_s, lambda_u, S, dom_rate, alpha, zeta):
     """Budget arithmetic from measured rates; zeta must lie in (0, beta).
 
-    ``k1_floor`` is a caller-supplied lower bound on the block size (the
-    theory provides its existence, not a value; 1 is the 1-step default).
+    The least block size is 1 unless the domination step needs more.
     """
     if not (lambda_s < 0.0 < lambda_u):
         raise ValueError(f"need lambda_s < 0 < lambda_u, got {lambda_s}, {lambda_u}")
-    if S < 1 or dom_rate <= 0.0 or alpha < 0.0 or k1_floor < 1:
-        raise ValueError("need S >= 1, dom_rate > 0, alpha >= 0, k1_floor >= 1")
+    if S < 1 or dom_rate <= 0.0 or alpha < 0.0:
+        raise ValueError("need S >= 1, dom_rate > 0, alpha >= 0")
     beta = min(-lambda_s, lambda_u, dom_rate / S)
     if not 0.0 < zeta < beta:
         raise ValueError(f"zeta must lie in (0, {beta}), got {zeta}")
     chi = (beta + zeta) / 2.0
-    K0 = k1_floor
-    if S > 1:
-        K0 = max(K0, math.ceil((S - 1) * (2.0 * beta + alpha) / (beta - zeta)))
+    K0 = 1 if S == 1 else math.ceil((S - 1) * (2.0 * beta + alpha) / (beta - zeta))
     return HyperbolicityBudget(
         lambda_s=lambda_s, lambda_u=lambda_u, S=S, dom_rate=dom_rate,
         alpha=alpha, zeta=zeta, beta=beta, chi=chi, K0=K0)
@@ -265,17 +266,13 @@ def mean_hyperbolicity_degree(system, x, splitting, K, horizon):
     """
     if K < 1 or horizon < 10:
         raise ValueError(f"need K >= 1 and horizon >= 10, got K={K}, horizon={horizon}")
-    back = horizon * K if system.invertible else 0
-    data = OrbitData(system, np.asarray(x, dtype=float)[None, :], splitting,
-                     n_fwd=horizon * K, n_back=back)
-    steps = np.arange(1, horizon + 1) * K
+    tables = _BlockTables(system, np.asarray(x, dtype=float)[None, :],
+                          splitting, K, horizon)
     tail = max(0, horizon // 2 - 1)
-    fwd = data.block_logs("e", [j * K for j in range(horizon)], K)[:, 0]
-    chi_e = float((np.cumsum(fwd) / steps)[tail:].max())
-    if not back:
+    chi_e = float(tables._e_means[tail:, 0].max())
+    if tables._f_means is None:
         return chi_e, None
-    bwd = data.block_logs("f", [-j * K for j in range(1, horizon + 1)], K)[:, 0]
-    return chi_e, float((np.cumsum(bwd) / steps)[tail:].min())
+    return chi_e, float(tables._f_means[tail:, 0].min())
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ class PartitionScheme:
     """Strictly increasing integer times from 0 to the segment length."""
 
     times: tuple
-    k: int
-    K: int
 
     def __post_init__(self):
         times = tuple(int(t) for t in self.times)
@@ -40,8 +38,6 @@ class PartitionScheme:
             raise ValueError(f"partition must start at 0 with >= 2 times, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"partition times must strictly increase, got {times}")
-        if self.k < 1 or self.K < 1:
-            raise ValueError(f"need k >= 1 and K >= 1, got k={self.k}, K={self.K}")
 
     @property
     def n(self):
@@ -50,15 +46,6 @@ class PartitionScheme:
     @property
     def m(self):
         return len(self.times) - 1
-
-    @property
-    def q(self):
-        """First-gap excess over kK; the remainder of the decomposition."""
-        return self.times[1] - self.k * self.K
-
-    @property
-    def l(self):
-        return (self.n - self.q) // self.K
 
     @property
     def gaps(self):
@@ -87,7 +74,7 @@ def canonical_partition(n, k, K):
         l, q = l - 1, K
     m = l - 2 * k + 2
     times = [0] + [(k + i - 1) * K + q for i in range(1, m)] + [n]
-    return PartitionScheme(times=tuple(times), k=k, K=K)
+    return PartitionScheme(times=tuple(times))
 
 
 @dataclass(frozen=True)

@@ -61,15 +61,6 @@ _G_C1 = G_B1 / (2.0 * math.pi)
 _G_C2 = G_B2 / (4.0 * math.pi)
 
 
-def _sinpi(t):
-    """sin(pi t), exact 0 at integer t (unlike sin(pi * t) in floats)."""
-    r = np.mod(np.asarray(t, dtype=float), 2.0)
-    sign = np.where(r > 1.0, -1.0, 1.0)
-    r = np.where(r > 1.0, r - 1.0, r)
-    r = np.where(r > 0.5, 1.0 - r, r)  # exact reflection
-    return sign * np.sin(np.pi * r)
-
-
 def _cospi(t):
     """cos(pi t), exact +-1 at integer t."""
     r = np.mod(np.asarray(t, dtype=float), 2.0)
@@ -99,8 +90,6 @@ def g_inverse(y):
     stays on them.
     """
     y = np.mod(np.asarray(y, dtype=float), 1.0)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
     w = np.interp(y, _G_TABLE_Y, _G_TABLE_X)
     slope = g_prime(w)
     for _ in range(4):
@@ -108,14 +97,19 @@ def g_inverse(y):
     w = np.clip(w, 0.0, 1.0)
     w = np.where(y == 0.0, 0.0, w)
     w = np.where(y == 0.5, 0.5, w)
-    w = wrap(w)
-    return float(w[0]) if scalar else w
+    return wrap(w)
 
 
 def g_map_lift(x):
-    """Lift of g to [0, 1] without the final wrap (monotone on [0, 1])."""
+    """Lift of g to [0, 1] without the final wrap (monotone on [0, 1]).
+
+    In plain trig, with t = 2 pi x: sin(t) is exactly 0 at x = 0, and at
+    x = 1/2 both |C1 sin(pi)| and |C2 sin(2 pi)| in floats are below half
+    an ulp of 1/2, so g fixes 0 and 1/2 exactly.  2t is exact.
+    """
     x = np.asarray(x, dtype=float)
-    return x + _G_C1 * _sinpi(2.0 * x) + _G_C2 * _sinpi(4.0 * x)
+    t = 2.0 * np.pi * x
+    return x + _G_C1 * np.sin(t) + _G_C2 * np.sin(2.0 * t)
 
 
 # Nodes x_i and values g(x_i) of the lift; g is increasing, so (y_i, x_i)
@@ -124,29 +118,19 @@ _G_TABLE_X = np.linspace(0.0, 1.0, 4097)
 _G_TABLE_Y = g_map_lift(_G_TABLE_X)
 
 
-# Plain-float kernels for single-start orbits, where numpy's per-call
-# overhead outweighs the work.  Each repeats its array twin operation for
-# operation: Python's float % is numpy's mod, and math.sin must return
-# np.sin's bits.  tests/test_systems.py checks both, so a numpy build whose
-# trig differs fails there.
+# Plain-float kernel for single-start circle orbits, where numpy's per-call
+# overhead outweighs the work.  It repeats g_map operation for operation:
+# Python's float % is numpy's mod, and math.sin must return np.sin's bits,
+# which tests/test_systems.py checks on the arguments the kernel passes.
 
 def _g_orbit1(x, n):
-    """[x, g(x), ..., g^n(x)] for one float: g_map's step, _sinpi and wrap
-    included, as one loop of plain-float operations in the same order, since
-    a call per step would cost more than the arithmetic."""
-    xs, sin, pi = [x], math.sin, math.pi
+    """[x, g(x), ..., g^n(x)] for one float: g_map's step, wrap included,
+    as one loop of plain-float operations in the same order."""
+    xs, sin, two_pi = [x], math.sin, 2.0 * math.pi
     for _ in range(n):
         x %= 1.0
-        r2, s2, r4, s4 = (2.0 * x) % 2.0, 1.0, (4.0 * x) % 2.0, 1.0
-        if r2 > 1.0:
-            s2, r2 = -1.0, r2 - 1.0
-        if r2 > 0.5:
-            r2 = 1.0 - r2
-        if r4 > 1.0:
-            s4, r4 = -1.0, r4 - 1.0
-        if r4 > 0.5:
-            r4 = 1.0 - r4
-        x = (x + _G_C1 * (s2 * sin(pi * r2)) + _G_C2 * (s4 * sin(pi * r4))) % 1.0
+        t = two_pi * x
+        x = (x + _G_C1 * sin(t) + _G_C2 * sin(2.0 * t)) % 1.0
         xs.append(0.0 if x == 1.0 else x)
     return xs
 
@@ -190,6 +174,11 @@ class TorusMap:
     invertible: bool = True
     constant_jacobian = None   # Df at every point, if it does not depend on the point
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "jacobian_many" in vars(cls) and "constant_jacobian" not in vars(cls):
+            cls.constant_jacobian = None   # a new Jacobian is not the parent's constant
+
     @property
     def factors(self):
         """(factor map, first coordinate) pairs, in coordinate order, over
@@ -198,12 +187,6 @@ class TorusMap:
         and Product24's kernels run its factors', so a product changes a
         block by changing its factor."""
         return ((self, 0),)
-
-    def step(self, p):
-        return self.step_many(np.asarray(p, dtype=float)[None, :])[0]
-
-    def inverse_step(self, p):
-        return self.inverse_many(np.asarray(p, dtype=float)[None, :])[0]
 
     def step_many(self, pts):
         raise NotImplementedError
@@ -217,10 +200,6 @@ class TorusMap:
     def orbit(self, p, n):
         """Forward orbit of a wrapped start p as an (n+1, d) array."""
         return _orbit_many(self, p, n, None, self.step_many)[:, 0]
-
-    def orbit_back(self, p, n):
-        """Backward orbit of a wrapped start p: row t holds f^{-t}(p)."""
-        return _orbit_many(self, p, n, None, self.inverse_many)[:, 0]
 
     def _check(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -563,7 +542,7 @@ def orbit_many(system, starts, n):
 
 def orbit_many_back(system, starts, n):
     """Backward orbits of a batch of starts: row t holds f^{-t}, (n+1, B, d)."""
-    return _orbit_many(system, starts, n, system.orbit_back, system.inverse_many)
+    return _orbit_many(system, starts, n, None, system.inverse_many)
 
 
 def _orbit_many(system, starts, n, orbit, step_many):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pesinlab
-from pesinlab import specmeas
+from pesinlab import cli, errors, specmeas
 from pesinlab import systems as dyn
 from pesinlab.cli import main
 from pesinlab.shadow import make_pseudo_orbit, write_pseudo_orbit
@@ -54,6 +54,22 @@ def test_partition_json(capsys):
     assert rec["times"] == [0, 13, 17, 21, 25, 29, 41]
     assert rec["m"] == 6 and rec["max_gap"] == 13
     assert main(["partition", "--k", "3", "--K", "4"]) == 2  # --n missing
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_exit_status_follows_the_error_type(name, capsys, monkeypatch):
+    # a numerical failure is a RuntimeError (exit 1), bad input a ValueError (2)
+    cls = getattr(errors, name)
+    assert issubclass(cls, (RuntimeError, ValueError)) or cls is errors.PesinLabError
+
+    def fail(opt):
+        raise cls("injected")
+
+    monkeypatch.setitem(cli._COMMANDS, "partition", fail)
+    numerical = issubclass(cls, RuntimeError)
+    assert main(["partition", "--n", "9", "--k", "1", "--K", "1"]) == (1 if numerical else 2)
+    kind = "numerical failure" if numerical else "error"
+    assert capsys.readouterr().err == f"pesinlab partition: {kind}: injected\n"
 
 
 def test_qh_check_pass_and_fail(tmp_path, capsys, cat, p24):

@@ -431,7 +431,7 @@ def test_cat_factor_is_never_iterated(monkeypatch, cat, p24, p24_split):
     def refuse(*args):
         raise AssertionError("the cat map was iterated")
 
-    for name in ("orbit", "orbit_back", "step_many", "inverse_many"):
+    for name in ("orbit", "step_many", "inverse_many"):
         monkeypatch.setattr(dyn.CatMap, name, refuse)
     assert [repr(call()) for call in calls] == want
 
@@ -703,13 +703,17 @@ def test_defect_in_a_later_row_block_is_caught(monkeypatch, cat, cat_split):
     late = dyn.orbit_points(cat, x, 12)[10]
 
     class ShearAtOnePoint(dyn.CatMap):
-        constant_jacobian = None   # its Jacobian varies with the point
-
         def jacobian_many(self, pts):
             jac = super().jacobian_many(pts)
             jac[(pts == late).all(axis=-1), 0, 1] += 0.5
             return jac
 
+    class SameJacobian(dyn.CatMap):
+        pass
+
+    # a new Jacobian does not inherit the cat map's constant one
+    assert ShearAtOnePoint.constant_jacobian is None
+    assert SameJacobian.constant_jacobian is dyn.CatMap.constant_jacobian
     monkeypatch.setattr(cocycle, "_RESTRICT_ROWS", 4)
     system = ShearAtOnePoint()
     OrbitData(system, x, cat_split, n_fwd=10)

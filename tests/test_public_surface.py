@@ -3,7 +3,8 @@
 ``pesinlab.__all__`` is the concatenation of its modules' ``__all__`` lists.
 A public name must be reached from somewhere other than its own definition
 and those lists: the library, the benchmark, the README or the acceptance
-tests.  A name that only its own unit tests call belongs to no public surface.
+tests.  So must every public method or property of a class in those lists.
+A name that only its own unit tests call belongs to no public surface.
 """
 
 import importlib
@@ -49,3 +50,21 @@ def test_every_public_name_has_a_caller():
     unused = [name for name in pesinlab.__all__
               if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not unused, f"public names that nothing but their tests reaches: {unused}"
+
+
+def test_every_public_member_has_a_caller():
+    # a member is reached as an attribute (``.name``) or by its name in quotes
+    # (``getattr(m, "step_many")``, the benchmark's patch table)
+    text = _callers_text()
+    unused = []
+    for name in pesinlab.__all__:
+        cls = getattr(pesinlab, name)
+        if not isinstance(cls, type):
+            continue
+        for attr, value in vars(cls).items():
+            member = callable(value) or isinstance(value, (property, classmethod))
+            if attr.startswith("_") or not member:
+                continue
+            if not re.search(rf"\.{attr}\b|[\"']{attr}[\"']", text):
+                unused.append(f"{name}.{attr}")
+    assert not unused, f"public members that nothing but their tests reaches: {unused}"

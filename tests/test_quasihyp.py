@@ -20,7 +20,7 @@ from conftest import LOG_U
 def test_worked_partition():
     p = canonical_partition(41, 3, 4)
     assert p.times == (0, 13, 17, 21, 25, 29, 41)
-    assert p.m == 6 and p.l == 10 and p.q == 1
+    assert p.m == 6
     assert p.max_gap == 13
 
 
@@ -42,7 +42,7 @@ def test_partition_gap_bound_exhaustive():
                 if q == 0 and n // K - 1 >= 2 * k:
                     q = K
                 assert p.max_gap <= (k + 1) * K, (n, k, K)
-                assert p.times[1] == k * K + q and p.q == q
+                assert p.times[1] == k * K + q
                 assert p.gaps[-1] == k * K
                 assert all(g == K for g in p.gaps[1:-1])
 
@@ -66,12 +66,10 @@ def test_partition_closed_form_property(K, k, extra):
 
 def test_partition_scheme_validation():
     with pytest.raises(ValueError):
-        PartitionScheme(times=(1, 5, 9), k=1, K=2)   # must start at 0
+        PartitionScheme(times=(1, 5, 9))   # must start at 0
     with pytest.raises(ValueError):
-        PartitionScheme(times=(0, 5, 5), k=1, K=2)   # strictly increasing
-    with pytest.raises(ValueError):
-        PartitionScheme(times=(0, 5, 9), k=0, K=2)
-    p = PartitionScheme(times=(0, 4, 7, 12), k=2, K=2)
+        PartitionScheme(times=(0, 5, 5))   # strictly increasing
+    p = PartitionScheme(times=(0, 4, 7, 12))
     assert p.gaps == (4, 3, 5) and p.max_gap == 5 and p.n == 12
 
 
@@ -113,8 +111,7 @@ def test_concatenation_refinement(cat, cat_split, p24, p24_split):
         c1 = check_quasi_hyperbolic(system, x, n1, split, zeta, p1)
         c2 = check_quasi_hyperbolic(system, mid, n2, split, zeta, p2)
         assert c1.passed and c2.passed
-        union = PartitionScheme(
-            times=p1.times + tuple(n1 + t for t in p2.times[1:]), k=k, K=K)
+        union = PartitionScheme(times=p1.times + tuple(n1 + t for t in p2.times[1:]))
         joint = check_quasi_hyperbolic(system, x, n1 + n2, split, zeta, union)
         assert min(joint.slack_ratio) >= 0.0
 
