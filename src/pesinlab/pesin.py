@@ -93,8 +93,6 @@ class _BlockTables:
     Holds, for every admissible (l, r) pair up to the horizon, the averaged
     forward E value, the averaged backward F value, the head ratio per k,
     and suffix extrema of each so that the slack at any k is a table lookup.
-    ``_e_means`` and ``_f_means`` (None with no inverse) are the (L, batch)
-    averages over whole blocks, lK steps for l = 1..L.
     """
 
     def __init__(self, system, xs, splitting, K, L):
@@ -120,7 +118,6 @@ class _BlockTables:
         for r in range(K):
             a_num[:, r, :] = full_e[r] + np.cumsum(block_e[r::K][:L], axis=0)
         a_val = a_num / steps
-        self._e_means = a_val[:, 0]
         self._a_suf = np.flip(np.maximum.accumulate(np.flip(a_val, 0), 0), 0).max(axis=1)
 
         # head ratios (full products) per k: max over r of (full_e - full_f)/(kK+r)
@@ -143,10 +140,9 @@ class _BlockTables:
             b_num[:, 0, :] = np.cumsum(block_fb, axis=0)
             b_num[:, 1:, :] = b_num[:, :1, :] + rem.reshape(L, K - 1, B)
             b_val = b_num / steps
-            self._f_means = b_val[:, 0]
             self._b_suf = np.flip(np.minimum.accumulate(np.flip(b_val, 0), 0), 0).min(axis=1)
         else:
-            self._f_means = self._b_suf = None
+            self._b_suf = None
 
     def slacks(self, k, zeta):
         """Arrays (batch,) of worst slacks (contraction, expansion, domination)."""
@@ -266,13 +262,17 @@ def mean_hyperbolicity_degree(system, x, splitting, K, horizon):
     """
     if K < 1 or horizon < 10:
         raise ValueError(f"need K >= 1 and horizon >= 10, got K={K}, horizon={horizon}")
-    tables = _BlockTables(system, np.asarray(x, dtype=float)[None, :],
-                          splitting, K, horizon)
+    back = horizon * K if system.invertible else 0
+    data = OrbitData(system, np.asarray(x, dtype=float)[None, :], splitting,
+                     n_fwd=horizon * K, n_back=back)
+    steps = np.arange(1, horizon + 1) * K
     tail = max(0, horizon // 2 - 1)
-    chi_e = float(tables._e_means[tail:, 0].max())
-    if tables._f_means is None:
+    fwd = data.block_logs("e", [j * K for j in range(horizon)], K)[:, 0]
+    chi_e = float((np.cumsum(fwd) / steps)[tail:].max())
+    if not back:
         return chi_e, None
-    return chi_e, float(tables._f_means[tail:, 0].min())
+    bwd = data.block_logs("f", [-j * K for j in range(1, horizon + 1)], K)[:, 0]
+    return chi_e, float((np.cumsum(bwd) / steps)[tail:].min())
 
 
 @dataclass(frozen=True)

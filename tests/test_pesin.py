@@ -157,6 +157,21 @@ def test_mean_hyperbolicity_degree(cat, cat_split, p24, p24_split):
     assert lo == pytest.approx(-LOG_U, abs=1e-12) and hi is None
 
 
+def test_mean_hyperbolicity_degree_never_forms_long_products():
+    # F is a 2-D bundle at rates 4 and 1.1, whose restricted product
+    # underflows after about 560 steps; the degree at K = 2 and horizon 512
+    # spans 1024 steps, but reads only length-K windows
+    diag = dyn.make_system({
+        "kind": "composite", "dim": 3,
+        "map": ["(0.5*x0) % 1.0", "(4*x1) % 1.0", "(1.1*x2) % 1.0"],
+        "jacobian": [["0.5", "0", "0"], ["0", "4", "0"], ["0", "0", "1.1"]],
+        "e_basis": [[1.0], [0.0], [0.0]],
+        "f_basis": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]})
+    lo, hi = mean_hyperbolicity_degree(diag, np.array([0.1, 0.2, 0.3]), diag.splitting,
+                                       K=2, horizon=512)
+    assert lo == pytest.approx(-LOG2, abs=1e-12) and hi is None
+
+
 def test_block_geometry_two_intervals():
     geo = block_geometry_product24(zeta=0.4, k=5, grid_n=2000, horizon=120)
     assert 0.0 < geo.a < 0.5 < geo.b < 1.0
