@@ -419,7 +419,9 @@ def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
     """
     if horizon < 10:
         raise ValueError(f"horizon too short for a spectrum: {horizon}")
-    chunk = max(1, min(int(chunk), horizon // 8))
+    if not (int(chunk) >= 1 and 0.0 <= merge_tol < math.inf):
+        raise ValueError(f"need chunk >= 1 and a finite merge_tol >= 0, got {chunk}, {merge_tol}")
+    chunk = min(int(chunk), horizon // 8)
     x = dyn.as_point(x, system.dim)
     n_chunks = horizon // chunk
     burn = n_chunks // 10

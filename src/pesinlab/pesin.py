@@ -145,13 +145,15 @@ class _BlockTables:
             self._b_suf = None
 
     def slacks(self, k, zeta):
-        """Arrays (batch,) of worst slacks (contraction, expansion, domination)."""
-        if not 1 <= k <= self.L:
+        """Worst slacks (contraction, expansion, domination): arrays (batch,)
+        for an int k, (len(k), batch) for an array of k."""
+        ks = np.asarray(k)
+        if not np.all((1 <= ks) & (ks <= self.L)):
             raise ValueError(f"need 1 <= k <= horizon, got k={k}, horizon={self.L}")
-        sa = -zeta - self._a_suf[k - 1]
-        ratio = np.maximum(self._c1_head[k - 1], self._c2_suf[k * self.K])
+        sa = -zeta - self._a_suf[ks - 1]
+        ratio = np.maximum(self._c1_head[ks - 1], self._c2_suf[ks * self.K])
         sc = -2.0 * zeta - ratio
-        sb = self._b_suf[k - 1] - zeta if self.invertible else None
+        sb = self._b_suf[ks - 1] - zeta if self.invertible else None
         return sa, sb, sc
 
     def certificates(self, params):
@@ -170,19 +172,9 @@ class _BlockTables:
 
     def first_passing_k(self, zeta, k_max):
         """Smallest passing k per batch point (0 where none up to k_max)."""
-        out = np.zeros(self.batch, dtype=int)
-        open_mask = np.ones(self.batch, dtype=bool)
-        for k in range(1, k_max + 1):
-            sa, sb, sc = self.slacks(k, zeta)
-            ok = (sa >= 0.0) & (sc >= 0.0)
-            if sb is not None:
-                ok &= sb >= 0.0
-            newly = open_mask & ok
-            out[newly] = k
-            open_mask &= ~ok
-            if not open_mask.any():
-                break
-        return out
+        sa, sb, sc = self.slacks(np.arange(1, k_max + 1), zeta)
+        ok = (sa >= 0.0) & (sc >= 0.0) & (True if sb is None else sb >= 0.0)
+        return np.where(ok.any(axis=0), ok.argmax(axis=0) + 1, 0)
 
 
 def check_block_membership(system, x, splitting, params, horizon):

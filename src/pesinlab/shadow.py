@@ -415,8 +415,9 @@ def estimate_shadowing_constant(system, deltas, trials, length_range,
     if any(a < b for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"deltas must be nonincreasing, got {deltas}")
     lo, hi = length_range
-    if not 1 <= lo <= hi:
-        raise ValueError(f"bad segment length range {length_range}")
+    if not (1 <= lo <= hi and trials >= 1):
+        raise ValueError(f"need 1 <= lo <= hi and trials >= 1, got segment length range "
+                         f"{length_range} and {trials} trials")
 
     per_delta = []
     L_hat = 0.0

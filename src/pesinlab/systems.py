@@ -9,8 +9,8 @@ systems are built in:
                      0 (slope 1/2) and a repelling one at 1/2 (slope (3+sqrt5)/2).
 * ``Product24``   -- CircleG x CatMap on T^3.
 
-``CompositeMap`` wraps user-supplied coordinate formulas with analytic
-Jacobians, as read from CLI config files.
+``CompositeMap`` compiles and checks user-supplied coordinate formulas with
+analytic Jacobians, as read from CLI config files.
 """
 
 from __future__ import annotations
@@ -356,105 +356,85 @@ def _compile_formula(text, dim):
 
 
 class CompositeMap(TorusMap):
-    """User-defined map given by per-coordinate callables.
-
-    ``forward`` and ``inverse`` take and return (..., d) arrays of wrapped
-    coordinates; ``jacobian_fn`` returns a (..., d, d) stack of analytic
-    derivatives.  ``splitting`` may pin a reference splitting for the
-    certificate machinery.
-    """
+    """User-defined map from coordinate formula strings in x0..x{d-1}:
+    ``map`` and ``inverse`` give one per coordinate, ``jacobian`` a d x d grid
+    of analytic derivatives, and ``e_basis`` with ``f_basis`` pins a reference
+    splitting.  A bad field is a ValueError that names it."""
 
     name = "composite"
 
-    def __init__(self, dim, forward, jacobian_fn, inverse=None, splitting=None,
+    def __init__(self, dim, map, jacobian, inverse=None, e_basis=None, f_basis=None,
                  name=None):
-        self.dim = int(dim)
-        self._forward = forward
-        self._jacobian = jacobian_fn
-        self._inverse = inverse
+        if not (isinstance(dim, (int, float)) and not isinstance(dim, bool)
+                and dim % 1 == 0 and dim >= 1):
+            raise UnsupportedSystemError(f"composite 'dim' must be an integer >= 1, got {dim!r}")
+        self.dim = d = int(dim)
+        self._map = [_compile_formula(t, d) for t in _entries("map", map, d)]
+        self._jacobian = [_compile_formula(t, d)
+                          for i, row in enumerate(_entries("jacobian", jacobian, d))
+                          for t in _entries(f"jacobian[{i}]", row, d)]
         self.invertible = inverse is not None
-        self.splitting = splitting
-        if name:
-            self.name = str(name)
+        self._inverse = None if inverse is None else [
+            _compile_formula(t, d) for t in _entries("inverse", inverse, d)]
+        if (e_basis is None) != (f_basis is None):
+            raise UnsupportedSystemError(
+                f"composite {'e_basis' if f_basis is None else 'f_basis'!r} needs its partner")
+        self.splitting = None if e_basis is None else Splitting(
+            _entries("e_basis", e_basis, d), _entries("f_basis", f_basis, d))
+        self.name = str(name or self.name)
 
     def step_many(self, pts):
-        return wrap(self._forward(self._check(pts)))
+        return wrap(self._run(self._map, self._check(pts)))
 
     def inverse_many(self, pts):
-        if self._inverse is None:
+        if not self.invertible:
             raise NotInvertibleError(f"{self.name} has no inverse map")
-        return wrap(self._inverse(self._check(pts)))
+        return wrap(self._run(self._inverse, self._check(pts)))
 
     def jacobian_many(self, pts):
         pts = self._check(pts)
-        jac = np.asarray(self._jacobian(pts), dtype=float)
-        want = pts.shape[:-1] + (self.dim, self.dim)
-        return np.broadcast_to(jac, want).copy() if jac.shape != want else jac
+        return self._run(self._jacobian, pts).reshape(pts.shape[:-1] + (self.dim, self.dim))
 
-    @classmethod
-    def from_expressions(cls, dim, map_exprs, jac_exprs, inverse_exprs=None,
-                         e_basis=None, f_basis=None, name=None):
-        """Build a system from coordinate formula strings in x0..x{d-1}."""
-        dim = int(dim)
-        if len(map_exprs) != dim:
-            raise DimensionMismatchError("need one map formula per coordinate")
-        if len(jac_exprs) != dim or any(len(row) != dim for row in jac_exprs):
-            raise DimensionMismatchError("jacobian formulas must form a d x d grid")
+    def _run(self, code, pts):
+        """The compiled formulas ``code`` at ``pts``, stacked on a last axis."""
+        xs = [pts[..., i] for i in range(self.dim)]
+        return np.stack([np.broadcast_to(np.asarray(f(xs), dtype=float), pts.shape[:-1])
+                         for f in code], axis=-1)
 
-        def compile_all(exprs):
-            return [_compile_formula(e, dim) for e in exprs]
 
-        map_code = compile_all(map_exprs)
-        jac_code = [compile_all(row) for row in jac_exprs]
-        inv_code = compile_all(inverse_exprs) if inverse_exprs else None
-
-        def run(code_list, pts):
-            xs = [pts[..., i] for i in range(dim)]
-            return np.stack([np.broadcast_to(np.asarray(f(xs), dtype=float),
-                                             pts.shape[:-1]) for f in code_list],
-                            axis=-1)
-
-        forward = lambda pts: run(map_code, pts)
-        inverse = (lambda pts: run(inv_code, pts)) if inv_code else None
-
-        def jacobian_fn(pts):
-            return np.stack([run(row, pts) for row in jac_code], axis=-2)
-
-        splitting = None
-        if e_basis is not None and f_basis is not None:
-            splitting = Splitting(np.asarray(e_basis, float), np.asarray(f_basis, float))
-        return cls(dim, forward, jacobian_fn, inverse=inverse,
-                   splitting=splitting, name=name)
+def _entries(key, value, dim):
+    """``value``, a list of one entry per coordinate; else bad input naming ``key``."""
+    if not isinstance(value, (list, tuple)) or len(value) != dim:
+        raise DimensionMismatchError(f"composite {key!r} needs {dim} entries, got {value!r}")
+    return value
 
 
 _BUILTINS = {"cat": CatMap, "circle-g": CircleG, "product24": Product24}
+_COMPOSITE_KEYS = ("dim", "map", "jacobian", "inverse", "e_basis", "f_basis", "name")
 
 
 def make_system(spec):
     """Create a system from a name ('cat', 'circle-g', 'product24') or config dict."""
     if isinstance(spec, TorusMap):
         return spec
-    if isinstance(spec, str):
-        try:
-            return _BUILTINS[spec]()
-        except KeyError:
-            raise UnsupportedSystemError(
-                f"unknown system {spec!r}; choose from {sorted(_BUILTINS)}") from None
-    if isinstance(spec, dict):
-        kind = spec.get("kind", "composite")
-        if kind in _BUILTINS:
-            return _BUILTINS[kind]()
-        if kind != "composite":
-            raise UnsupportedSystemError(f"unknown system kind {kind!r}")
-        try:
-            return CompositeMap.from_expressions(
-                spec["dim"], spec["map"], spec["jacobian"],
-                inverse_exprs=spec.get("inverse"),
-                e_basis=spec.get("e_basis"), f_basis=spec.get("f_basis"),
-                name=spec.get("name"))
-        except KeyError as missing:
-            raise UnsupportedSystemError(f"composite config missing key {missing}") from None
-    raise UnsupportedSystemError(f"cannot build a system from {type(spec).__name__}")
+    spec = {"kind": spec} if isinstance(spec, str) else spec
+    if not isinstance(spec, dict):
+        raise UnsupportedSystemError(f"cannot build a system from {type(spec).__name__}")
+    kind = spec.get("kind", "composite")
+    rest = {key: value for key, value in spec.items() if key != "kind"}
+    if kind == "composite":
+        unknown = sorted(rest.keys() - set(_COMPOSITE_KEYS), key=str)
+        missing = [key for key in ("dim", "map", "jacobian") if key not in rest]
+        if unknown or missing:
+            raise UnsupportedSystemError(f"composite config has unknown keys {unknown}" if unknown
+                                         else f"composite config missing key {missing[0]!r}")
+        return CompositeMap(**rest)
+    if not (isinstance(kind, str) and kind in _BUILTINS):
+        raise UnsupportedSystemError(f"unknown system {kind!r}; choose from {sorted(_BUILTINS)}")
+    if rest:
+        raise UnsupportedSystemError(
+            f"system {kind!r} takes no other keys, got {sorted(rest, key=str)}")
+    return _BUILTINS[kind]()
 
 
 @dataclass(frozen=True, eq=False)

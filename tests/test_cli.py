@@ -432,6 +432,33 @@ def test_composite_formula_injection_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "owned.npy").exists()
 
 
+def test_composite_config_with_a_bad_key_exits_2(tmp_path, capsys):
+    # a typo in "inverse" used to build the map without one, with exit 0
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"system": {
+        "kind": "composite", "dim": 2,
+        "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+        "invers": ["(x0 - x1) % 1.0", "(2*x1 - x0) % 1.0"],
+        "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+    }, "point": "0.2,0.7"}))
+    assert main(["exponents", "--config", str(cfg), "--horizon", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown keys ['invers']" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--merge-tol", "inf"], ["--merge-tol", "nan"], ["--merge-tol=-1"], ["--chunk", "0"],
+])
+def test_exponents_bad_chunk_or_merge_tol_exits_2(capsys, flags):
+    # each used to exit 0: inf merged all three exponents into one, nan and
+    # -1 split the double one, and chunk 0 ran with chunk 1
+    argv = ["exponents", "--system", "product24", "--point", "0.5,0.3,0.7",
+            "--horizon", "10000"]
+    assert main(argv + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need chunk >= 1 and a finite merge_tol >= 0" in err
+
+
 def test_domination_command(capsys):
     rc = main(["domination", "--system", "cat", "--horizon", "200"])
     assert rc == 0

@@ -393,6 +393,15 @@ def test_lyapunov_spectrum_rotation_zero():
         lyapunov_spectrum(rot, np.array([0.2]), 5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"chunk": 0}, {"chunk": -3}, {"merge_tol": math.nan}, {"merge_tol": -1.0},
+    {"merge_tol": math.inf},
+])
+def test_lyapunov_spectrum_rejects_bad_chunk_or_merge_tol(p24, kwargs):
+    with pytest.raises(ValueError, match="chunk >= 1 and a finite merge_tol >= 0"):
+        lyapunov_spectrum(p24, np.array([0.5, 0.3, 0.7]), 10_000, **kwargs)
+
+
 @settings(max_examples=12, deadline=None)
 @given(start=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
        horizon=st.integers(10_000, 20_000))

@@ -89,6 +89,20 @@ def test_min_block_index_frozen_fibers(p24, p24_split):
         assert gen == expected[xv], xv
 
 
+@pytest.mark.parametrize("system, K", [("product24", 1), ("product24", 2), ("cat", 3)])
+def test_min_block_index_is_the_first_passing_certificate(system, K):
+    # fibers 0.5 and 0.49 never pass or pass late; k runs up to horizon/2
+    system = dyn.make_system(system)
+    split = dyn.reference_splitting(system)
+    xs = np.random.default_rng(9).random((6, system.dim))
+    xs[:2, 0] = 0.5, 0.49
+    for zeta in (0.2, 0.4, 0.6):
+        passed = np.array([[c.passed for c in check_block_membership_many(
+            system, xs, split, PesinParams(K=K, zeta=zeta, k=k), 60)] for k in range(1, 31)])
+        want = [int(np.argmax(p)) + 1 if p.any() else None for p in passed.T]
+        assert [min_block_index(system, x, split, K, zeta, 60) for x in xs] == want
+
+
 def test_min_block_index_deep_fiber(p24, p24_split):
     assert min_block_scan_product24([0.49], 0.4, 200)[0] == 18
     assert min_block_index(p24, np.array([0.49, 0.2, 0.6]), p24_split,

@@ -519,6 +519,13 @@ def test_estimate_shadowing_constant(cat):
                                     length_range=(4, 9))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_estimate_shadowing_constant_needs_a_trial(cat, trials):
+    # trials=0 used to report d0_hat = 1e-6 from no trial at all
+    with pytest.raises(ValueError, match="trials >= 1"):
+        estimate_shadowing_constant(cat, [1e-6], trials=trials, length_range=(4, 9))
+
+
 def test_density_probe_rational_sample(cat):
     sample = [np.array([i / 7, j / 7]) for i in range(1, 4) for j in range(1, 3)]
     frac, rep = periodic_density_probe(cat, sample, n_max=60, epsilon=1e-2,

@@ -1,6 +1,7 @@
 """Torus maps, splittings, and orbit helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,63 @@ def test_composite_formulas_match_numpy():
     assert np.array_equal(jac[:, 0, 0], np.sqrt(x0) + np.exp(-x1) + np.log(1 + x0))
     assert np.array_equal(jac[:, 1, 0], np.floor(x0 * 4) + (x0 >= x1))
     assert np.all(jac[:, 1, 1] == 1 / 3)
+
+
+_CAT_SPEC = {
+    "kind": "composite", "dim": 2,
+    "map": ["(2*x0 + x1) % 1.0", "(x0 + x1) % 1.0"],
+    "inverse": ["(x0 - x1) % 1.0", "(2*x1 - x0) % 1.0"],
+    "jacobian": [["2.0", "1.0"], ["1.0", "1.0"]],
+}
+_NO_INVERSE = {k: v for k, v in _CAT_SPEC.items() if k != "inverse"}
+
+
+@pytest.mark.parametrize("spec, key", [
+    # the first eleven used to build a map: without an inverse, the builtin
+    # with the key ignored, an inverse broadcast from one formula or none at
+    # all, no splitting, a 2-D map, a 1-D map and a 0-D map; the last two
+    # were rejected without naming the key
+    ({**_NO_INVERSE, "invers": _CAT_SPEC["inverse"]}, "invers"),
+    ({"kind": "cat", "dim": 2}, "dim"),
+    ({"kind": "circle-g", "inverse": ["x0"]}, "inverse"),
+    ({"kind": "product24", "e_basis": [[1.0]]}, "e_basis"),
+    ({**_CAT_SPEC, "inverse": ["x0 - x1"]}, "inverse"),
+    ({**_CAT_SPEC, "inverse": []}, "inverse"),
+    ({**_CAT_SPEC, "e_basis": [[1.0], [0.0]]}, "e_basis"),
+    ({**_CAT_SPEC, "f_basis": [[0.0], [1.0]]}, "f_basis"),
+    ({**_CAT_SPEC, "dim": 2.5}, "dim"),
+    ({**_CAT_SPEC, "dim": True}, "dim"),
+    ({**_CAT_SPEC, "dim": 0}, "dim"),
+    ({**_CAT_SPEC, "jacobian": [["2.0", "1.0"], ["1.0"]]}, "jacobian[1]"),
+    (_NO_INVERSE | {"dim": 2, "map": _CAT_SPEC["map"][:1]}, "map"),
+])
+def test_composite_config_rejects_a_bad_key(spec, key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        dyn.make_system(spec)
+
+
+def test_composite_inverse_is_checked_per_coordinate():
+    # "inverse": ["x0 - x1"] used to broadcast to both coordinates: (0.85, 0.85)
+    cat = dyn.make_system(_CAT_SPEC)
+    back = dyn.orbit_many_back(cat, [[0.1, 0.25]], 1)[1, 0]
+    assert back == pytest.approx([0.85, 0.4], abs=1e-15)
+    assert dyn.make_system({**_CAT_SPEC, "dim": 2.0}).dim == 2   # a whole number passes
+
+
+def test_composite_jacobian_matches_numpy_per_entry():
+    # constant and point-dependent entries over a (4, 250, 3) batch, bit for bit
+    pts = np.random.default_rng(6).random((4, 250, 3))
+    rows = [["2.0", "x0*x1", "0"], ["sin(2*pi*x2)", "1/3", "exp(-x0)"],
+            ["x2**2", "-1", "where(x1 < 0.5, x0, 1.0)"]]
+    jac = dyn.make_system({"dim": 3, "map": ["x0", "x1", "x2"], "jacobian": rows}
+                          ).jacobian_many(pts)
+    x0, x1, x2 = pts[..., 0], pts[..., 1], pts[..., 2]
+    want = [[2.0, x0 * x1, 0.0], [np.sin(2 * np.pi * x2), 1 / 3, np.exp(-x0)],
+            [x2 ** 2, -1.0, np.where(x1 < 0.5, x0, 1.0)]]
+    assert jac.shape == (4, 250, 3, 3) and jac.flags.c_contiguous
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(jac[..., i, j], np.broadcast_to(want[i][j], pts.shape[:-1]))
 
 
 @pytest.mark.parametrize("formula", [
