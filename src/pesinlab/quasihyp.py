@@ -152,14 +152,16 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
     defaults to (k+1)K, the canonical gap bound, and segments whose
     partition exceeds e fail.  The seams are ``pseudo.gaps``, so a periodic
     window's last seam wraps to the first segment; delta defaults to
-    ``pseudo.delta``.  Returns (ok, report); the report names the first
-    failing segment and the first seam at least delta, each None when none
-    fails.
+    ``pseudo.delta``, and one given must be finite and positive.  Returns
+    (ok, report); the report names the first failing segment and the first
+    seam at least delta, each None when none fails.
     """
     if e is None:
         e = (k + 1) * K
     if delta is None:
         delta = pseudo.delta
+    elif not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     certs = [check_quasi_hyperbolic(system, seg[0], n, splitting, zeta,
                                     canonical_partition(n, k, K))
              for seg, n in zip(pseudo.segments, pseudo.n_list)]

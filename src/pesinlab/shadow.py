@@ -10,7 +10,9 @@ L delta = -r as delta = L^T (L L^T)^{-1} (-r): the exact solution when L is
 square (a cycle), the minimum-norm one when it is one block short (an open
 window).  An open window's L L^T is block tridiagonal and positive
 definite, and a cycle's adds one wrap term of rank 2d, so one banded
-Cholesky factor serves both.
+Cholesky factor serves both.  A product solves each factor map's band on
+its own, and a map with a constant Jacobian keeps one factor for all its
+windows.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class PseudoOrbit:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("pseudo-orbit needs at least one segment")
-        if self.delta is not None and not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if self.delta is not None and not 0.0 < self.delta < np.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
         d = segs[0].shape[1] if segs[0].ndim == 2 else 0
         for i, s in enumerate(segs):
             if s.ndim != 2 or s.shape[1] != d or s.shape[0] < 2:
@@ -190,6 +192,16 @@ def read_pseudo_orbit(path):
     return PseudoOrbit(segments=tuple(segments), periodic=bool(periodic), delta=delta)
 
 
+def _row_deviations(points, pseudo):
+    """rho(points[chain time of the row], row) for every row of every
+    segment, in order.  Row r of segment i is chain point r - i, so each
+    segment's last row and the next segment's first row share a time."""
+    rows = np.concatenate(pseudo.segments)
+    lengths = [len(s) for s in pseudo.segments]
+    chain = np.arange(len(rows)) - np.arange(pseudo.m).repeat(lengths)
+    return dyn.torus_distance(points.take(chain, axis=0, mode="wrap"), rows)
+
+
 def segment_deviations(points, pseudo):
     """Worst rho(points[(c_i + j) mod len(points)], point j of segment i).
 
@@ -200,13 +212,9 @@ def segment_deviations(points, pseudo):
     being shadowed, so no long re-iteration is involved.  Returns the
     per-segment maxima and the (segment, offset) of the first worst point.
     """
+    dev = _row_deviations(points, pseudo)
     lengths = np.array([len(s) for s in pseudo.segments])
     first = np.cumsum(lengths) - lengths
-    rows = np.concatenate(pseudo.segments)
-    # row r of segment i is chain point r - i: each segment's last row and
-    # the next segment's first row sit at the same chain time
-    chain = np.arange(len(rows)) - np.arange(pseudo.m).repeat(lengths)
-    dev = dyn.torus_distance(points.take(chain, axis=0, mode="wrap"), rows)
     k = int(dev.argmax())
     i = int(first.searchsorted(k, side="right")) - 1
     return np.maximum.reduceat(dev, first), (i, k - int(first[i]))
@@ -238,13 +246,16 @@ class ShadowResult:
                 "points": [[float(v) for v in row] for row in self.points]}
 
 
-def _residual(system, z, nxt):
-    """Per-step defects z_{nxt[j]} (-) f(z_j), j = 0..len(nxt)-1."""
-    return dyn.torus_diff(z[nxt], system.step_many(z[:len(nxt)]))
+def _residual(system, z, periodic):
+    """Per-step defects z_{j+1} (-) f(z_j) along the chain z; a cycle's last
+    step lands on z_0."""
+    if periodic:
+        return dyn.torus_diff(np.concatenate([z[1:], z[:1]]), system.step_many(z))
+    return dyn.torus_diff(z[1:], system.step_many(z[:-1]))
 
 
 def _normal_band(jac):
-    """Upper band of an open window's L L^T, as cholesky_banded reads it.
+    """Upper band of an open window's L L^T, as LAPACK's pbtrf reads it.
 
     With A_j = jac[j], block row j of L holds -A_j in column j and I in
     column j + 1, so L L^T is block tridiagonal: A_j A_j^T + I on the
@@ -263,37 +274,98 @@ def _normal_band(jac):
     return band.reshape(2 * d, p * d)
 
 
-def _newton_step(jac, rhs, periodic):
+_CONSTANT_FACTORS = {}   # constant Jacobian's bytes -> factor of its longest open window
+
+
+def _band_factor(band):
+    """Upper Cholesky factor of a band laid out as :func:`_normal_band` does,
+    from LAPACK's pbtrf; a band that is not positive definite raises
+    LinAlgError."""
+    from scipy.linalg.lapack import dpbtrf  # scipy's import time
+
+    factor, info = dpbtrf(band)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return factor
+
+
+def _constant_factor(a, p):
+    """Band factor of the p-step open window of the constant Jacobian a.
+
+    The p-step window's L L^T is the leading p*d block of every longer
+    window's, so its upper Cholesky factor is the leading p*d columns of
+    theirs.  One factor per matrix is kept, refactored only when a longer
+    window arrives: at most 2d x p*d floats for the longest p solved.
+    Threads racing here at worst factor twice: each solves with the
+    factor it holds, and a stored factor is never written to.
+    """
+    d, key = len(a), a.tobytes()
+    factor = _CONSTANT_FACTORS.get(key)
+    if factor is None or factor.shape[1] < p * d:
+        factor = _band_factor(_normal_band(np.broadcast_to(a, (p, d, d))))
+        _CONSTANT_FACTORS[key] = factor
+    return factor[:, :p * d]
+
+
+def _newton_step(jac, rhs, periodic, factor=None):
     """Solution delta = L^T y, (L L^T) y = rhs, of L delta = rhs, one row per
     chain point: exact for a cycle, minimum-norm for an open window.
 
+    ``jac`` stacks the p Jacobians A_j; with a constant Jacobian it is a
+    stack of one, and the caller passes the open band's Cholesky ``factor``.
     A cycle's L L^T is the open band plus the wrap blocks -A_0 at (0, p-1)
     and -A_0^T at (p-1, 0), i.e. U C U^T with U = [E_0, E_{p-1}] and
     C = [[0, -A_0], [-A_0^T, 0]]; Woodbury folds them into the band's
     factor: y = x - X (I + C U^T X)^{-1} C U^T x, where the band solves
-    x = T^{-1} rhs and X = T^{-1} U.  (solveh_banded would send a two-row
-    band to ptsv, which rejects a 1 x 1 system.)
+    x = T^{-1} rhs and X = T^{-1} U.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded  # scipy's import time
+    from scipy.linalg.lapack import dpbtrs  # scipy's import time
 
-    p, d = jac.shape[:2]
-    factor = (cholesky_banded(_normal_band(jac), check_finite=False), False)
+    d = jac.shape[-1]
+    p = len(rhs) // d
+    if factor is None:
+        factor = _band_factor(_normal_band(jac))
     if periodic:
         ends = np.r_[0:d, p * d - d:p * d]  # the rows of E_0 and E_{p-1}
-        u = np.zeros((p * d, 2 * d))
-        u[ends, np.arange(2 * d)] = 1.0
-        x = cho_solve_banded(factor, np.column_stack([rhs, u]), check_finite=False)
+        b = np.zeros((p * d, 2 * d + 1), order="F")
+        b[:, 0] = rhs
+        b[ends, np.arange(1, 2 * d + 1)] = 1.0
+        x, _ = dpbtrs(factor, b, overwrite_b=True)
         c = np.zeros((2 * d, 2 * d))
         c[:d, d:], c[d:, :d] = -jac[0], -jac[0].T
         cx = c @ x[ends]
         y = x[:, 0] - x[:, 1:] @ np.linalg.solve(np.eye(2 * d) + cx[:, 1:], cx[:, 0])
     else:
-        y = cho_solve_banded(factor, rhs, check_finite=False)
+        y, _ = dpbtrs(factor, rhs)
     y = y.reshape(p, d)
     delta = np.zeros((p + (not periodic), d))
     delta[:p] = -np.einsum("jba,jb->ja", jac, y)
-    delta[np.arange(1, p + 1) % len(delta)] += y
+    delta[1:] += y[:len(delta) - 1]
+    if periodic:
+        delta[0] += y[-1]
     return delta
+
+
+def _chain_step(system, z, rhs, periodic):
+    """Newton correction of the chain z for the right-hand side rhs, one row
+    per step, solved factor by factor.
+
+    Df, and so L, is block diagonal over ``system.factors``, so each factor
+    solves its own band.  A factor with a ``constant_jacobian`` reuses the
+    cached factor of :func:`_constant_factor` and forms no Jacobian; any
+    other factor, and a system without ``factors``, is factored afresh.
+    """
+    p = len(rhs)
+    steps = []
+    for m, s in getattr(system, "factors", ((system, 0),)):
+        cols = slice(s, s + m.dim)
+        a = getattr(m, "constant_jacobian", None)
+        if a is None:
+            jac, factor = m.jacobian_many(z[:p, cols]), None
+        else:
+            jac, factor = a[None], _constant_factor(a, p)
+        steps.append(_newton_step(jac, rhs[:, cols].ravel(), periodic, factor))
+    return np.concatenate(steps, axis=1)
 
 
 def check_tol(tol):
@@ -307,12 +379,14 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
 
     The unknowns are the chain points, seeded by the pseudo-orbit itself:
     one per step, plus the final endpoint when the window is open.  Each
-    step is one banded Cholesky solve (:func:`_newton_step`).  Raises
-    ConvergenceError (with diagnostics attached) when the residual turns
-    non-finite, has not halved over two steps or misses tol after max_iter,
-    or a factorization fails; nothing is returned in that case.
+    step is one banded Cholesky solve per factor map (:func:`_chain_step`).
+    Raises ConvergenceError (with diagnostics attached) when the residual
+    turns non-finite, has not halved over two steps or misses tol after
+    max_iter, or a factorization fails; nothing is returned in that case.
     """
     check_tol(tol)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if pseudo.total_length > _MAX_TOTAL:
         raise ValueError(f"window too long: {pseudo.total_length} > {_MAX_TOTAL}")
     if system.dim != pseudo.dim:
@@ -320,7 +394,6 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     p = pseudo.total_length
     tail = [] if pseudo.periodic else [pseudo.segments[-1][-1:]]
     z = np.concatenate([s[:-1] for s in pseudo.segments] + tail, axis=0)
-    nxt = np.arange(1, p + 1) % len(z)
 
     history = []
 
@@ -329,7 +402,7 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
                                                  "iterations": it})
 
     for it in range(max_iter + 1):
-        r = _residual(system, z, nxt)
+        r = _residual(system, z, pseudo.periodic)
         res = float(np.abs(r).max())
         history.append(res)
         if res < tol:
@@ -343,15 +416,15 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
             raise failure(f"no convergence after {max_iter} iterations "
                           f"(residual {res:.3e}, tol {tol:.3e})")
         try:
-            delta = _newton_step(system.jacobian_many(z[:p]), -r.ravel(), pseudo.periodic)
+            delta = _chain_step(system, z, -r, pseudo.periodic)
         except np.linalg.LinAlgError as exc:
             raise failure(f"Newton step failed at iteration {it}: {exc}") from exc
-        z = dyn.wrap(z + delta.reshape(z.shape))
+        z = dyn.wrap(z + delta)
 
-    worsts, _ = segment_deviations(z, pseudo)
     return ShadowResult(points=z, periodic=pseudo.periodic,
                         period=p if pseudo.periodic else None,
-                        epsilon_achieved=float(worsts.max()), residual=history[-1],
+                        epsilon_achieved=float(_row_deviations(z, pseudo).max()),
+                        residual=history[-1],
                         iterations=len(history) - 1)
 
 

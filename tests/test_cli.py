@@ -142,6 +142,37 @@ def test_shadow_command_and_exit_codes(tmp_path, capsys, cat, p24):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_shadow_bad_max_iter_and_delta_exit_2(tmp_path, capsys, cat):
+    # a negative --max-iter used to run no iteration and end in an
+    # IndexError traceback; a delta=inf header let a 0.28 seam jump through
+    x0 = np.array([0.3, 0.6])
+    x1 = dyn.wrap(dyn.orbit_points(cat, x0, 5)[-1] + 1e-8)
+    path = tmp_path / "chain.txt"
+    write_pseudo_orbit(make_pseudo_orbit(cat, [x0, x1], [5, 5], periodic=False), path)
+    assert main(["shadow", "--file", str(path), "--max-iter", "-1"]) == 2
+    assert "max_iter must be >= 0" in capsys.readouterr().err
+    wide = tmp_path / "wide.txt"
+    wide.write_text("PSEUDO d=2 periodic=0 delta=inf\n"
+                    "SEG n=1\n0.1 0.1\n0.3 0.2\n\n"
+                    "SEG n=1\n0.5 0.4\n0.7 0.3\n")
+    assert main(["shadow", "--file", str(wide)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "delta must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["-1", "0", "inf", "nan"])
+def test_qh_check_bad_delta_exits_2(tmp_path, capsys, cat, delta):
+    # -1 used to print passed: false with exit 0; inf and nan ran every
+    # certificate and then failed to serialize
+    x0 = np.array([0.1234, 0.777])
+    mid = dyn.orbit_points(cat, x0, 12)[-1]
+    path = tmp_path / "cat.txt"
+    write_pseudo_orbit(make_pseudo_orbit(cat, [x0, mid], [12, 12], periodic=False), path)
+    assert main(["qh-check", "--file", str(path), "--zeta", "0.5", "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "delta must be finite and positive" in captured.err
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero")
 @pytest.mark.parametrize("jacobian, message", [
     # A A^T + I rounds to a singular matrix: the band factorization fails

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pesinlab import quasihyp
 from pesinlab import systems as dyn
 from pesinlab.quasihyp import (
     PartitionScheme,
@@ -125,6 +126,21 @@ def test_pseudo_orbit_exact_split(cat, cat_split):
     assert rep["e"] == 9  # defaults to (k+1)K
     assert rep["gaps"] == [0.0]
     assert rep["first_failed_segment"] is None and rep["first_failed_seam"] is None
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, np.inf, np.nan])
+def test_pseudo_orbit_check_rejects_a_bad_delta(cat, cat_split, monkeypatch, delta):
+    # the bound is checked before any segment is certified
+    x0 = np.array([0.2, 0.7])
+    mid = dyn.orbit_points(cat, x0, 20)[-1]
+    pseudo = make_pseudo_orbit(cat, [x0, mid], [20, 20], periodic=False)
+
+    def certify(*args):
+        raise AssertionError("certified a segment under a bad delta")
+
+    monkeypatch.setattr(quasihyp, "check_quasi_hyperbolic", certify)
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, delta, k=2, K=3)
 
 
 def test_pseudo_orbit_gap_detected(cat, cat_split):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pesinlab import shadow
 from pesinlab import systems as dyn
 from pesinlab.errors import ConvergenceError, PseudoOrbitFormatError
 from pesinlab.shadow import (
     PseudoOrbit,
+    _chain_step,
     _newton_step,
     _normal_band,
     _residual,
@@ -40,6 +42,10 @@ def test_pseudo_orbit_validation(cat):
         PseudoOrbit(segments=(seg[:1],), periodic=False, delta=0.5)
     with pytest.raises(ValueError, match="segment 1 has a non-finite coordinate"):
         PseudoOrbit(segments=(seg, np.where(far > 0.5, np.inf, far)), periodic=False)
+    # an infinite bound used to pass any seam, however wide
+    for delta in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            PseudoOrbit(segments=(seg, far), periodic=False, delta=delta)
 
 
 def test_make_pseudo_orbit_auto_delta(cat):
@@ -314,12 +320,65 @@ def test_min_norm_step_matches_spsolve(name):
                 z[-1] = x
             p = sum(lengths)
             nxt = np.arange(1, p + 1) % len(z)
-            rhs = -_residual(system, z, nxt).ravel()
-            got = _newton_step(system.jacobian_many(z[:p]), rhs, periodic)
-            want = _spsolve_step(system, z, nxt, rhs)
+            rhs = -_residual(system, z, periodic)
+            got = _chain_step(system, z, rhs, periodic)
+            want = _spsolve_step(system, z, nxt, rhs.ravel())
             assert np.abs(want).max() > 0.0
             worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
         assert worst <= bounds[periodic], (periodic, worst)
+
+
+def _jumped_window(system, rng, lengths, periodic):
+    """Chain of orbit pieces of the given lengths joined by jumps of 1e-7."""
+    x, segs = rng.random(system.dim), []
+    for n in lengths:
+        segs.append(dyn.orbit_points(system, x, int(n)))
+        x = dyn.wrap(segs[-1][-1] + 1e-7 * rng.standard_normal(system.dim))
+    return PseudoOrbit(segments=tuple(segs), periodic=periodic)
+
+
+def _bits(result):
+    return (result.points.tobytes(), result.epsilon_achieved, result.residual,
+            result.iterations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows=st.lists(st.tuples(st.lists(st.integers(1, 90), min_size=1, max_size=3),
+                                  st.booleans()), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_cat_factor_gives_the_cold_bits(cat, windows, seed):
+    # the cat map's band factor is cached across calls and sliced for
+    # shorter windows; any sequence of open and periodic windows, growing
+    # and shrinking, solves to the bits of a solve from an empty cache
+    rng = np.random.default_rng(seed)
+    pseudos = [_jumped_window(cat, rng, lengths, periodic) for lengths, periodic in windows]
+    warm = [_bits(solve_shadow(cat, po)) for po in pseudos]
+    for po, bits in zip(pseudos, warm):
+        shadow._CONSTANT_FACTORS.clear()
+        assert _bits(solve_shadow(cat, po)) == bits
+
+
+def test_product_open_step_is_the_whole_map_step(p24):
+    # solved factor by factor, a product24 open window's Newton step has
+    # the bits of the step on the whole map's 3 x 3 blocks: the blocks
+    # coupling the circle to the cat factor are zero, and adding their
+    # zero products rounds nothing
+    rng = np.random.default_rng(24)
+    for lengths in [[1], [2], [44, 44, 43]] + [list(rng.integers(1, 120, size=3))
+                                               for _ in range(40)]:
+        z = _chain_rows(_jumped_window(p24, rng, lengths, False))
+        rhs = -_residual(p24, z, False)
+        whole = _newton_step(p24.jacobian_many(z[:-1]), rhs.ravel(), False)
+        assert np.array_equal(_chain_step(p24, z, rhs, False), whole)
+
+
+def test_max_iter_below_zero_is_bad_input(cat):
+    po = _jumped_chain(False)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_shadow(cat, po, max_iter=-1)
+    # no iteration at all is allowed: the seed chain is checked and fails
+    with pytest.raises(ConvergenceError, match="no convergence after 0 iterations"):
+        solve_shadow(cat, po, max_iter=0)
 
 
 @pytest.mark.parametrize("starts, lengths", [
