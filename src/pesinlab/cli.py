@@ -255,6 +255,9 @@ def cmd_close(opt):
 def cmd_glue(opt):
     system = dyn.make_system(opt["system"])
     shadow.check_tol(float(opt["tol"]))   # before the cover and the table are built
+    mesh = float(opt["mesh"])
+    if not 0.0 < mesh < np.inf:
+        raise ValueError(f"--mesh must be finite and positive, got {mesh}")
     d = system.dim
     rng = np.random.default_rng([int(opt["seed"]), 0])
     m = _positive_int("--segments", opt["segments"])
@@ -272,7 +275,7 @@ def cmd_glue(opt):
     pieces.append(dyn.orbit_points(system, rng.random(d),
                                    _positive_int("--cover-samples",
                                                  opt["cover_samples"])))
-    cover = specmeas.build_cover(np.vstack(pieces), float(opt["mesh"]))
+    cover = specmeas.build_cover(np.vstack(pieces), mesh)
     table = specmeas.transition_times(system, cover, int(opt["min_n"]),
                                       int(opt["horizon"]), int(opt["budget"]),
                                       seed=int(opt["seed"]))

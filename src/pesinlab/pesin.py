@@ -45,8 +45,8 @@ class PesinParams:
     def __post_init__(self):
         if self.K < 1 or self.k < 1:
             raise ValueError(f"need K >= 1 and k >= 1, got K={self.K}, k={self.k}")
-        if not self.zeta > 0.0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
+        if not 0.0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,8 @@ class BlockCertificate:
         return all(s >= 0.0 for s in slacks)
 
     def to_dict(self):
-        return {
-            "K": self.params.K,
-            "zeta": self.params.zeta,
-            "k": self.params.k,
-            "horizon": self.horizon,
-            "slack_contraction": self.slack_contraction,
-            "slack_expansion": self.slack_expansion,
-            "slack_domination": self.slack_domination,
-            "partial": self.partial,
-            "passed": self.passed,
-        }
+        record = asdict(self)
+        return {**record.pop("params"), **record, "passed": self.passed}
 
 
 class _BlockTables:
@@ -198,8 +189,8 @@ def min_block_index(system, x, splitting, K, zeta, horizon):
     Passing is monotone in k, so this is the block index of the point at
     the given horizon.
     """
-    if not zeta > 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not 0.0 < zeta < math.inf:
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
     tables = _BlockTables(system, np.asarray(x, dtype=float)[None, :],
                           splitting, K, horizon)
     k = int(tables.first_passing_k(zeta, horizon // 2)[0])

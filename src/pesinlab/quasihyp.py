@@ -10,7 +10,7 @@ non-canonical partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,15 +102,7 @@ class QuasiHypCertificate:
         )
 
     def to_dict(self):
-        return {
-            "zeta": self.zeta,
-            "e": self.e,
-            "q_dim": self.q_dim,
-            "slack_prefix": list(self.slack_prefix),
-            "slack_suffix": list(self.slack_suffix),
-            "slack_ratio": list(self.slack_ratio),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_quasi_hyperbolic(system, x, n, splitting_at_x, zeta, partition):
@@ -120,8 +112,8 @@ def check_quasi_hyperbolic(system, x, n, splitting_at_x, zeta, partition):
     Df-invariant); each piece's E and F log norms are measured between
     consecutive partition times.
     """
-    if not zeta > 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not 0.0 < zeta < np.inf:
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} steps, segment has {n}")
     times = np.asarray(partition.times)

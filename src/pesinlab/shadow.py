@@ -17,7 +17,7 @@ windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -240,10 +240,7 @@ class ShadowResult:
         return self.points[0]
 
     def to_dict(self):
-        return {"periodic": self.periodic, "period": self.period,
-                "epsilon_achieved": self.epsilon_achieved, "residual": self.residual,
-                "iterations": self.iterations,
-                "points": [[float(v) for v in row] for row in self.points]}
+        return {**asdict(self), "points": self.points.tolist()}
 
 
 def _residual(system, z, periodic):
@@ -307,12 +304,12 @@ def _constant_factor(a, p):
     return factor[:, :p * d]
 
 
-def _newton_step(jac, rhs, periodic, factor=None):
+def _newton_step(jac, factor, rhs, periodic):
     """Solution delta = L^T y, (L L^T) y = rhs, of L delta = rhs, one row per
     chain point: exact for a cycle, minimum-norm for an open window.
 
-    ``jac`` stacks the p Jacobians A_j; with a constant Jacobian it is a
-    stack of one, and the caller passes the open band's Cholesky ``factor``.
+    ``jac`` stacks the p Jacobians A_j, or just one when they are all the
+    same; ``factor`` is the open band's Cholesky factor (:func:`_band_factor`).
     A cycle's L L^T is the open band plus the wrap blocks -A_0 at (0, p-1)
     and -A_0^T at (p-1, 0), i.e. U C U^T with U = [E_0, E_{p-1}] and
     C = [[0, -A_0], [-A_0^T, 0]]; Woodbury folds them into the band's
@@ -323,8 +320,6 @@ def _newton_step(jac, rhs, periodic, factor=None):
 
     d = jac.shape[-1]
     p = len(rhs) // d
-    if factor is None:
-        factor = _band_factor(_normal_band(jac))
     if periodic:
         ends = np.r_[0:d, p * d - d:p * d]  # the rows of E_0 and E_{p-1}
         b = np.zeros((p * d, 2 * d + 1), order="F")
@@ -353,18 +348,19 @@ def _chain_step(system, z, rhs, periodic):
     Df, and so L, is block diagonal over ``system.factors``, so each factor
     solves its own band.  A factor with a ``constant_jacobian`` reuses the
     cached factor of :func:`_constant_factor` and forms no Jacobian; any
-    other factor, and a system without ``factors``, is factored afresh.
+    other factor is factored afresh.
     """
     p = len(rhs)
     steps = []
-    for m, s in getattr(system, "factors", ((system, 0),)):
+    for m, s in system.factors:
         cols = slice(s, s + m.dim)
-        a = getattr(m, "constant_jacobian", None)
+        a = m.constant_jacobian
         if a is None:
-            jac, factor = m.jacobian_many(z[:p, cols]), None
+            jac = m.jacobian_many(z[:p, cols])
+            factor = _band_factor(_normal_band(jac))
         else:
             jac, factor = a[None], _constant_factor(a, p)
-        steps.append(_newton_step(jac, rhs[:, cols].ravel(), periodic, factor))
+        steps.append(_newton_step(jac, factor, rhs[:, cols].ravel(), periodic))
     return np.concatenate(steps, axis=1)
 
 
@@ -448,12 +444,7 @@ class ShadowingConstants:
     per_delta: tuple
 
     def to_dict(self):
-        return {
-            "L_hat": self.L_hat,
-            "d0_hat": self.d0_hat,
-            "trials": self.trials,
-            "per_delta": [dict(row) for row in self.per_delta],
-        }
+        return asdict(self)
 
 
 def _perturbed_chain(system, rng_spec, delta, length_range):
@@ -483,8 +474,8 @@ def estimate_shadowing_constant(system, deltas, trials, length_range,
     ratios are directly comparable along the delta list.
     """
     deltas = [float(dv) for dv in deltas]
-    if any(dv < 0.0 for dv in deltas):
-        raise ValueError(f"deltas must be nonnegative, got {deltas}")
+    if not all(0.0 <= dv < np.inf for dv in deltas):
+        raise ValueError(f"deltas must be finite and nonnegative, got {deltas}")
     if any(a < b for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"deltas must be nonincreasing, got {deltas}")
     lo, hi = length_range

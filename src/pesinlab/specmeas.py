@@ -94,8 +94,8 @@ class Cover:
             raise ValueError("cover needs matching nonempty centers and radii")
         if not np.isfinite(centers).all():
             raise ValueError("cover centers must be finite")
-        if not self.mesh > 0.0:
-            raise ValueError(f"mesh must be positive, got {self.mesh}")
+        if not 0.0 < self.mesh < np.inf:
+            raise ValueError(f"mesh must be finite and positive, got {self.mesh}")
         if not np.all((radii > 0.0) & (radii <= self.mesh / 2.0)):
             raise ValueError("radii must lie in (0, mesh/2]")
         object.__setattr__(self, "_grid", _Grid(centers, float(radii.max())))
@@ -133,8 +133,8 @@ def build_cover(samples, delta):
     if not np.isfinite(pts).all():
         raise ValueError("samples must be finite")
     pts = dyn.wrap(pts)
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     radius = delta / 2.0
     grid = _Grid(pts, radius)
     centers = []
@@ -466,8 +466,8 @@ def measure_curve(system, target, delta, budgets, tol=1e-12, degree=3,
             f"budgets must lie in [{2 * n_segments}, {len(pts) - 1}], got {budgets}")
     if degree < 1:
         raise ValueError(f"need degree >= 1, got {degree}")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     check_tol(tol)
     top = max(budgets)
     step_gap = dyn.torus_distance(system.step_many(pts[:top]), pts[1:top + 1])

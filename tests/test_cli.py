@@ -241,7 +241,7 @@ def test_measure_command(capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--degree", "0"], ["--budgets", ""], ["--budgets", "5"], ["--budgets", "1000,4000"],
-    ["--delta", "0"], ["--delta", "nan"], ["--tol", "nan"], ["--tol", "0"],
+    ["--delta", "0"], ["--delta", "nan"], ["--delta", "inf"], ["--tol", "nan"], ["--tol", "0"],
 ])
 def test_measure_rejects_bad_input_before_the_cover(capsys, monkeypatch, flags):
     def no_cover(*args, **kwargs):
@@ -275,6 +275,35 @@ def test_bad_tol_exits_2(tmp_path, capsys, monkeypatch, cat, argv, tol):
     assert main([str(path) if a == "{file}" else a for a in argv] + [f"--tol={tol}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "tol" in err and str(float(tol)) in err
+
+
+@pytest.mark.parametrize("mesh", ["inf", "nan", "0"])
+def test_glue_bad_mesh_exits_2_before_the_cover(capsys, monkeypatch, mesh):
+    # an infinite mesh used to build a one-ball cover and its transition
+    # table, then fail in the glued pseudo-orbit with a message naming delta
+    def no_cover(*args, **kwargs):
+        raise AssertionError("cover built before the mesh was checked")
+
+    monkeypatch.setattr(specmeas, "build_cover", no_cover)
+    assert main(["glue", "--mesh", mesh]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--mesh must be finite and positive" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["classify", "--zeta", "inf"], "zeta must be finite and positive"),
+    (["qh-check", "--file", "{file}", "--zeta", "inf"], "zeta must be finite and positive"),
+    (["probe-L", "--deltas", "inf"], "deltas must be finite and nonnegative"),
+    (["probe-L", "--deltas", "1e-6,nan"], "deltas must be finite and nonnegative"),
+])
+def test_non_finite_zeta_or_deltas_exits_2(tmp_path, capsys, cat, argv, named):
+    # classify and qh-check used to run every certificate and then fail to
+    # print an infinite slack; probe-L failed on a non-finite chain point
+    path = tmp_path / "cat.txt"
+    write_pseudo_orbit(make_pseudo_orbit(cat, [[0.1234, 0.777]], [12], periodic=False), path)
+    assert main([str(path) if a == "{file}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {named}" in err
 
 
 @pytest.mark.parametrize("flags", [

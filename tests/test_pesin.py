@@ -35,6 +35,15 @@ def test_params_validation():
         PesinParams(K=1, zeta=0.4, k=0)
 
 
+@pytest.mark.parametrize("zeta", [0.0, -0.1, np.inf, np.nan])
+def test_zeta_must_be_finite_and_positive(p24, p24_split, zeta):
+    # an infinite zeta used to run every certificate and fail at printing
+    with pytest.raises(ValueError, match="zeta must be finite and positive"):
+        PesinParams(K=1, zeta=zeta, k=1)
+    with pytest.raises(ValueError, match="zeta must be finite and positive"):
+        min_block_index(p24, np.array([0.1, 0.3, 0.7]), p24_split, 1, zeta, 40)
+
+
 def test_worked_example_fiber0(p24, p24_split):
     cert = check_block_membership(p24, np.array([0.0, 0.3, 0.7]), p24_split,
                                   PesinParams(K=1, zeta=0.4, k=1), horizon=200)

@@ -87,6 +87,13 @@ def test_cat_certificate_slacks(cat, cat_split):
     assert d["passed"] is True and len(d["slack_ratio"]) == part.m
 
 
+@pytest.mark.parametrize("zeta", [0.0, np.inf, np.nan])
+def test_segment_check_rejects_a_bad_zeta(cat, cat_split, zeta):
+    with pytest.raises(ValueError, match="zeta must be finite and positive"):
+        check_quasi_hyperbolic(cat, np.array([0.2, 0.7]), 30, cat_split, zeta,
+                               canonical_partition(30, 2, 3))
+
+
 def test_product24_fiber_certificates(p24, p24_split):
     part = canonical_partition(24, 2, 3)
     good = check_quasi_hyperbolic(p24, np.array([0.0, 0.3, 0.6]), 24,

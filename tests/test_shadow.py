@@ -13,6 +13,7 @@ from pesinlab import systems as dyn
 from pesinlab.errors import ConvergenceError, PseudoOrbitFormatError
 from pesinlab.shadow import (
     PseudoOrbit,
+    _band_factor,
     _chain_step,
     _newton_step,
     _normal_band,
@@ -260,7 +261,7 @@ def test_normal_band_dense_oracle(cat, p24, name, p, d, seed, periodic):
         step = np.linalg.solve(L, rhs)
     else:
         step = L.T @ np.linalg.solve(L @ L.T, rhs)
-    got = _newton_step(jac, rhs, periodic).ravel()
+    got = _newton_step(jac, _band_factor(band), rhs, periodic).ravel()
     bound = 16 * np.finfo(float).eps * np.linalg.cond(L @ L.T)
     assert np.abs(got - step).max() <= bound * np.abs(step).max()
 
@@ -368,7 +369,8 @@ def test_product_open_step_is_the_whole_map_step(p24):
                                                for _ in range(40)]:
         z = _chain_rows(_jumped_window(p24, rng, lengths, False))
         rhs = -_residual(p24, z, False)
-        whole = _newton_step(p24.jacobian_many(z[:-1]), rhs.ravel(), False)
+        jac = p24.jacobian_many(z[:-1])
+        whole = _newton_step(jac, _band_factor(_normal_band(jac)), rhs.ravel(), False)
         assert np.array_equal(_chain_step(p24, z, rhs, False), whole)
 
 
@@ -480,7 +482,7 @@ def test_divergence_reports_diagnostics(p24):
     assert len(info["residual_history"]) >= 1
 
 
-class _StubCat:
+class _StubCat(dyn.TorusMap):
     """Cat map steps beside a chosen Jacobian; ``nan_step`` spoils the steps."""
 
     dim = 2
@@ -583,6 +585,13 @@ def test_estimate_shadowing_constant_needs_a_trial(cat, trials):
     # trials=0 used to report d0_hat = 1e-6 from no trial at all
     with pytest.raises(ValueError, match="trials >= 1"):
         estimate_shadowing_constant(cat, [1e-6], trials=trials, length_range=(4, 9))
+
+
+@pytest.mark.parametrize("deltas", [[np.inf], [np.nan], [1e-6, np.nan], [1e-6, -1e-7]])
+def test_estimate_shadowing_constant_rejects_a_bad_delta(cat, deltas):
+    # an infinite or NaN delta used to reach wrap and fail on a NaN point
+    with pytest.raises(ValueError, match="deltas must be finite and nonnegative"):
+        estimate_shadowing_constant(cat, deltas, trials=2, length_range=(4, 9))
 
 
 def test_density_probe_rational_sample(cat):

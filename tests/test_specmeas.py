@@ -51,6 +51,11 @@ def test_build_cover_rejects_non_finite_samples(bad):
 def test_cover_validation():
     with pytest.raises(ValueError):
         Cover(centers=[[0.0, 0.0]], radii=[0.2], mesh=0.1)  # radius > mesh/2
+    # an infinite mesh used to pass, and build_cover made one ball of it
+    with pytest.raises(ValueError, match="mesh must be finite and positive"):
+        Cover(centers=[[0.0, 0.0]], radii=[0.2], mesh=np.inf)
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        build_cover([[0.0, 0.0], [0.5, 0.5]], np.inf)
     with pytest.raises(ValueError):
         Cover(centers=[[0.0, 0.0]], radii=[0.0], mesh=0.1)
     with pytest.raises(ValueError):
