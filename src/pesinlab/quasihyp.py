@@ -142,7 +142,8 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
     Each segment of the :class:`~pesinlab.shadow.PseudoOrbit` is checked
     from its first point against its canonical partition at (k, K); e
     defaults to (k+1)K, the canonical gap bound, and segments whose
-    partition exceeds e fail.  The seams are ``pseudo.gaps``, so a periodic
+    partition exceeds e fail; one given must be at least 1, since every
+    partition has a gap.  The seams are ``pseudo.gaps``, so a periodic
     window's last seam wraps to the first segment; delta defaults to
     ``pseudo.delta``, and one given must be finite and positive.  Returns
     (ok, report); the report names the first failing segment and the first
@@ -150,6 +151,8 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
     """
     if e is None:
         e = (k + 1) * K
+    elif not e >= 1:
+        raise ValueError(f"e must be at least 1, got {e}")
     if delta is None:
         delta = pseudo.delta
     elif not 0.0 < delta < np.inf:

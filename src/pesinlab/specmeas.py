@@ -118,8 +118,7 @@ class Cover:
         """All (point index, ball index) membership pairs, point-major order."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         t, b = self._grid.candidates(pts)
-        diff = dyn.torus_diff(pts[t], self.centers[b])
-        inside = np.linalg.norm(diff, axis=-1) < self.radii[b]
+        inside = dyn.torus_distance(pts[t], self.centers[b]) < self.radii[b]
         key = np.sort(t[inside] * self.size + b[inside])
         return key // self.size, key % self.size
 
@@ -144,7 +143,7 @@ def build_cover(samples, delta):
         centers.append(c)
         _, near = grid.candidates(c[None, :])
         near = near[uncovered[near]]
-        dist = np.linalg.norm(dyn.torus_diff(pts[near], c), axis=-1)
+        dist = dyn.torus_distance(pts[near], c)
         uncovered[near[dist < radius]] = False
     centers = np.array(centers)
     return Cover(centers=centers, radii=np.full(len(centers), radius), mesh=float(delta))
@@ -466,6 +465,8 @@ def measure_curve(system, target, delta, budgets, tol=1e-12, degree=3,
             f"budgets must lie in [{2 * n_segments}, {len(pts) - 1}], got {budgets}")
     if degree < 1:
         raise ValueError(f"need degree >= 1, got {degree}")
+    if sample_orbits < 1:
+        raise ValueError(f"need sample_orbits >= 1, got {sample_orbits}")
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be finite and positive, got {delta}")
     check_tol(tol)

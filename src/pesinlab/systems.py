@@ -62,16 +62,23 @@ _G_C2 = G_B2 / (4.0 * math.pi)
 
 
 def _cospi(t):
-    """cos(pi t), exact +-1 at integer t."""
-    r = np.mod(np.asarray(t, dtype=float), 2.0)
-    r = np.where(r > 1.0, 2.0 - r, r)  # cos is even around t = 1
-    sign = np.where(r > 0.5, -1.0, 1.0)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    return sign * np.cos(np.pi * r)
+    """cos(pi t), exact +-1 at integer t.
+
+    r = t - 2 floor(t/2) is numpy's t mod 2 bit for bit (see _frac), except
+    at t = -5e-324, where t/2 rounds to -0 and r is t, not 2.0; cos(pi r)
+    is 1 either way.  Each np.minimum picks what the fold's comparison
+    picked: 2 - r only for r > 1 and 1 - r only for r > 1/2, both exact
+    there (Sterbenz).
+    """
+    t = np.asarray(t, dtype=float)
+    r = t - 2.0 * np.floor(0.5 * t)
+    r = np.minimum(r, 2.0 - r)  # cos is even around t = 1
+    c = np.cos(np.pi * np.minimum(r, 1.0 - r))
+    return np.where(r > 0.5, -c, c)  # and odd around t = 1/2
 
 
 def g_map(x):
-    return wrap(g_map_lift(np.mod(x, 1.0)))
+    return wrap(g_map_lift(_frac(x)))
 
 
 def g_prime(x):
@@ -89,7 +96,7 @@ def g_inverse(y):
     The fixed points 0 and 1/2 are snapped exactly so repeated inversion
     stays on them.
     """
-    y = np.mod(np.asarray(y, dtype=float), 1.0)
+    y = _frac(y)
     w = np.interp(y, _G_TABLE_Y, _G_TABLE_X)
     slope = g_prime(w)
     for _ in range(4):
@@ -120,7 +127,7 @@ _G_TABLE_Y = g_map_lift(_G_TABLE_X)
 
 # Plain-float kernel for single-start circle orbits, where numpy's per-call
 # overhead outweighs the work.  It repeats g_map operation for operation:
-# Python's float % is numpy's mod, and math.sin must return np.sin's bits,
+# Python's float % 1.0 gives _frac's bits, and math.sin must return np.sin's bits,
 # which tests/test_systems.py checks on the arguments the kernel passes.
 
 def _g_orbit1(x, n):
@@ -135,10 +142,22 @@ def _g_orbit1(x, n):
     return xs
 
 
+def _frac(x):
+    """x - floor(x) in a new array, with one temporary: numpy's x mod 1 bit
+    for bit at a fraction of its cost.  numpy takes the exact fmod(x, 1),
+    which is x - floor(x) for x >= 0; for x < 0 it adds 1, one rounding of
+    the real x - floor(x), as the subtraction is.  Both give +0.0 at integers.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.floor(x, out=np.empty(x.shape))
+    return np.subtract(x, r, out=r)
+
+
 def wrap(x):
-    """Reduce coordinates to [0, 1); mod can round up to 1.0 for tiny negatives."""
-    r = np.mod(np.asarray(x, dtype=float), 1.0)
-    return np.where(r == 1.0, 0.0, r)
+    """Reduce coordinates to [0, 1); x - floor(x) rounds up to 1.0 for tiny negatives."""
+    r = _frac(x)
+    r[r == 1.0] = 0.0
+    return r
 
 
 def as_point(coords, dim=None):
@@ -153,17 +172,24 @@ def as_point(coords, dim=None):
 
 
 def torus_diff(a, b):
-    """Nearest-representative difference a - b, componentwise in [-1/2, 1/2)."""
+    """Nearest-representative difference a - b, componentwise in [-1/2, 1/2).
+
+    Half-open: x - floor(x) rounds up to 1 only for x in [-2^-54, 0), and
+    a - b + 1/2 never lands there; it is exact for a - b in [-1, -1/4], and
+    at least 1/4 from 0 outside it.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.mod(a - b + 0.5, 1.0) - 0.5
+    return _frac(a - b + 0.5) - 0.5
 
 
 def torus_distance(a, b):
-    """Flat metric on the torus (Euclidean norm of the nearest difference)."""
-    return np.linalg.norm(torus_diff(a, b), axis=-1)
+    """Flat metric on the torus (Euclidean norm of the nearest difference):
+    the sum np.linalg.norm(d, axis=-1) takes, without its wrapper."""
+    d = torus_diff(a, b)
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 class TorusMap:
@@ -230,8 +256,8 @@ class CatMap(TorusMap):
     def orbit(self, p, n):
         # Plain floats skip the per-step numpy overhead.  2y + z and y + z
         # round once, as in the matrix product, and % 1.0 of a value >= 0 is
-        # the exact fmod that wrap applies, so the points equal step()'s bit
-        # for bit (dyadic starts stay on their lattice).
+        # the exact x - floor(x) that wrap applies, so the points equal
+        # step()'s bit for bit (dyadic starts stay on their lattice).
         y, z = float(p[0]), float(p[1])
         pts = [(y, z)]
         for _ in range(n):

@@ -173,6 +173,18 @@ def test_qh_check_bad_delta_exits_2(tmp_path, capsys, cat, delta):
     assert captured.out == "" and "delta must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize("e", ["-1", "0"])
+def test_qh_check_bad_e_exits_2(tmp_path, capsys, cat, e):
+    # both used to print passed: false with exit 0
+    x0 = np.array([0.1234, 0.777])
+    mid = dyn.orbit_points(cat, x0, 12)[-1]
+    path = tmp_path / "cat.txt"
+    write_pseudo_orbit(make_pseudo_orbit(cat, [x0, mid], [12, 12], periodic=False), path)
+    assert main(["qh-check", "--file", str(path), "--zeta", "0.5", "--e", e]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "e must be at least 1" in captured.err
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero")
 @pytest.mark.parametrize("jacobian, message", [
     # A A^T + I rounds to a singular matrix: the band factorization fails
@@ -242,6 +254,7 @@ def test_measure_command(capsys):
 @pytest.mark.parametrize("flags", [
     ["--degree", "0"], ["--budgets", ""], ["--budgets", "5"], ["--budgets", "1000,4000"],
     ["--delta", "0"], ["--delta", "nan"], ["--delta", "inf"], ["--tol", "nan"], ["--tol", "0"],
+    ["--sample-orbits", "0"],
 ])
 def test_measure_rejects_bad_input_before_the_cover(capsys, monkeypatch, flags):
     def no_cover(*args, **kwargs):
@@ -251,6 +264,10 @@ def test_measure_rejects_bad_input_before_the_cover(capsys, monkeypatch, flags):
     assert main(["measure", "--budgets", "1000", "--target-n", "4000"] + flags) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err
+    # the message names the input, not a parameter of a helper
+    assert "budget >=" not in err
+    if flags[0] == "--sample-orbits":
+        assert "sample_orbits" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "inf"])

@@ -150,6 +150,22 @@ def test_pseudo_orbit_check_rejects_a_bad_delta(cat, cat_split, monkeypatch, del
         check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, delta, k=2, K=3)
 
 
+@pytest.mark.parametrize("e", [-1, 0, 0.5, np.nan])
+def test_pseudo_orbit_check_rejects_a_bad_e(cat, cat_split, monkeypatch, e):
+    # every partition has a gap of at least 1, so an e below 1 fails every
+    # segment; it is bad input, checked before any segment is certified
+    x0 = np.array([0.2, 0.7])
+    mid = dyn.orbit_points(cat, x0, 20)[-1]
+    pseudo = make_pseudo_orbit(cat, [x0, mid], [20, 20], periodic=False)
+
+    def certify(*args):
+        raise AssertionError("certified a segment under a bad e")
+
+    monkeypatch.setattr(quasihyp, "check_quasi_hyperbolic", certify)
+    with pytest.raises(ValueError, match="e must be at least 1"):
+        check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, e, None, k=2, K=3)
+
+
 def test_pseudo_orbit_gap_detected(cat, cat_split):
     x0 = np.array([0.2, 0.7])
     mid = dyn.orbit_points(cat, x0, 20)[-1]

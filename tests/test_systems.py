@@ -2,11 +2,13 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pesinlab import systems as dyn
 from pesinlab.errors import (
@@ -178,6 +180,140 @@ def test_g_inverse_is_a_right_inverse(y):
 def test_torus_diff_in_half_open_interval(ab):
     d = dyn.torus_diff(*ab)
     assert np.all((-0.5 <= d) & (d < 0.5))
+
+
+# The kernels reduce mod 1 as x - floor(x).  These are the numpy mod forms
+# they replaced, kept as oracles: the new forms must give their bits.
+def _mod_wrap(x):
+    r = np.mod(np.asarray(x, dtype=float), 1.0)
+    return np.where(r == 1.0, 0.0, r)
+
+
+def _mod_torus_diff(a, b):
+    return np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5, 1.0) - 0.5
+
+
+def _mod_cospi(t):
+    r = np.mod(np.asarray(t, dtype=float), 2.0)
+    r = np.where(r > 1.0, 2.0 - r, r)
+    sign = np.where(r > 0.5, -1.0, 1.0)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    return sign * np.cos(np.pi * r)
+
+
+def _mod_g_prime(x):
+    x = np.asarray(x, dtype=float)
+    return 1.0 + dyn.G_B1 * _mod_cospi(2.0 * x) + dyn.G_B2 * _mod_cospi(4.0 * x)
+
+
+def _mod_g_map(x):
+    return _mod_wrap(dyn.g_map_lift(np.mod(x, 1.0)))
+
+
+def _mod_g_inverse(y):
+    y = np.mod(np.asarray(y, dtype=float), 1.0)
+    w = np.interp(y, dyn._G_TABLE_Y, dyn._G_TABLE_X)
+    slope = _mod_g_prime(w)
+    for _ in range(4):
+        w = w - (dyn.g_map_lift(w) - y) / slope
+    w = np.clip(w, 0.0, 1.0)
+    w = np.where(y == 0.0, 0.0, w)
+    w = np.where(y == 0.5, 0.5, w)
+    return _mod_wrap(w)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# Signed zeros and subnormals, values within 1e-16 of an integer (and the
+# floats next to it, where x - floor(x) rounds up to 1 from below 0), the
+# largest magnitudes and 2^53, beyond which every float is an integer.
+_MOD_EDGES = [v for k in range(-3, 4) for v in (
+    float(k), k + 1e-16, k - 1e-16, float(np.nextafter(k, -4.0)), float(np.nextafter(k, 4.0)))] + [
+    -0.0, 5e-324, -5e-324, 2.0 ** -54, -2.0 ** -54, 2.0 ** -53, -2.0 ** -53,
+    0.5, float(np.nextafter(0.5, 1.0)), 1e308, -1e308, 2.0 ** 53, -2.0 ** 53,
+    2.0 ** 53 - 1.0, 2.0 ** 52 + 0.5, -(2.0 ** 52 + 0.5)]
+_finite = st.one_of(st.sampled_from(_MOD_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+# a - b + 1/2 must stay finite, or both forms return NaN under an overflow warning
+_half_range = st.one_of(st.sampled_from([v for v in _MOD_EDGES if abs(v) < 8e307]),
+                        st.floats(-8e307, 8e307))
+_shapes = hnp.array_shapes(min_dims=1, max_dims=2, max_side=5)
+
+
+@given(_finite)
+def test_frac_is_numpy_mod_bit_for_bit(x):
+    assert _same_bits(dyn._frac(x), np.mod(x, 1.0))
+    assert _same_bits(dyn._frac(np.array([x, -x])), np.mod(np.array([x, -x]), 1.0))
+
+
+@given(_finite)
+def test_cospi_is_its_mod_form_bit_for_bit(t):
+    # -5e-324 is the one input where t - 2 floor(t/2) differs from numpy's
+    # t mod 2 (t/2 rounds to -0), and the output still agrees there
+    small = abs(t) < 4e307   # 4t stays finite
+    arr = np.array([t, -t, 2.0 * t, 4.0 * t] if small else [t, -t])
+    assert _same_bits(dyn._cospi(arr), _mod_cospi(arr))
+    if small:
+        assert _same_bits(dyn.g_prime(arr[:2]), _mod_g_prime(arr[:2]))
+
+
+def test_cospi_at_the_edges():
+    edges = np.array(_MOD_EDGES)
+    assert _same_bits(dyn._cospi(edges), _mod_cospi(edges))
+    assert _same_bits(dyn._cospi(-5e-324), _mod_cospi(-5e-324))
+    assert dyn._cospi(-5e-324) == 1.0
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, _shapes, elements=_finite))
+def test_wrap_is_its_mod_form_bit_for_bit(x):
+    assert _same_bits(dyn.wrap(x), _mod_wrap(x))
+    assert np.all((0.0 <= dyn.wrap(x)) & (dyn.wrap(x) < 1.0))
+
+
+@settings(deadline=None)
+@given(_shapes.flatmap(lambda shape: st.tuples(
+    hnp.arrays(np.float64, shape, elements=_half_range),
+    hnp.arrays(np.float64, shape, elements=_half_range))))
+def test_torus_diff_and_distance_are_their_mod_forms_bit_for_bit(ab):
+    a, b = ab
+    d = dyn.torus_diff(a, b)
+    assert _same_bits(d, _mod_torus_diff(a, b))
+    assert np.all((-0.5 <= d) & (d < 0.5))
+    assert _same_bits(dyn.torus_distance(a, b), np.linalg.norm(_mod_torus_diff(a, b), axis=-1))
+    # points against one point, as the cover lookups call it
+    c = b[0] if b.ndim == 2 else b
+    assert _same_bits(dyn.torus_distance(a, c), np.linalg.norm(_mod_torus_diff(a, c), axis=-1))
+
+
+def test_torus_diff_range_is_half_open():
+    # a - b + 1/2 = -2^-53 here, exactly; x - floor(x) rounds up to 1 only
+    # for x in [-2^-54, 0), which a - b + 1/2 cannot reach, so +1/2 never
+    # comes out
+    a, b = np.array([0.0]), np.array([np.nextafter(0.5, 1.0)])
+    assert dyn.torus_diff(a, b)[0] == 0.5 - 2.0 ** -53
+    assert _same_bits(dyn.torus_diff(a, b), _mod_torus_diff(a, b))
+    assert dyn.torus_diff(np.array([0.0]), np.array([0.5]))[0] == -0.5
+
+
+def test_circle_kernels_give_the_mod_forms_bits():
+    rng = np.random.default_rng(26)
+    x = np.concatenate([rng.random(4000), rng.uniform(-3.0, 3.0, 4000),
+                        [v for v in _MOD_EDGES if abs(v) < 4.0]])
+    assert _same_bits(dyn.g_map(x), _mod_g_map(x))
+    assert _same_bits(dyn.g_inverse(x), _mod_g_inverse(x))
+    assert _same_bits(dyn.g_prime(x), _mod_g_prime(x))
+
+
+def test_no_numpy_mod_in_the_source():
+    # every kernel reduces with _frac; a config formula's mod stays numpy's
+    src = Path(dyn.__file__).parent
+    hits = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if "np.mod(" in line]
+    assert hits == []
+    assert dyn._FORMULA_FUNCS["mod"] is np.mod
 
 
 def test_make_system_names():
