@@ -54,32 +54,32 @@ _DEFAULTS = {
 _TYPES = {key: type(v[0] if isinstance(v, tuple) else v) for spec in _DEFAULTS.values()
           for key, v in spec.items() if v is not None}
 _TYPES.update(n=int, e=int, lengths=int, point=float, fiber=float, starts=float)
+_LISTS = {"budgets", "deltas", "lengths", "point"}
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
 
 
-def _fits(value, kind):
-    """Whether a config value (a list entry by entry) fits an option of type
-    ``kind``: a bool only for a switch; a number or text, whole for an int."""
-    if isinstance(value, list) and kind is not bool:
-        return all(_fits(v, kind) for v in value)
-    return isinstance(value, bool) == (kind is bool) and not (
-        kind in (int, float) and not isinstance(value, (int, float, str))
-        or kind is int and isinstance(value, float) and not value.is_integer())
+def _scalar(value, kind):
+    """A flag's text or a config value as ``kind``: a switch takes a bool
+    alone, a number a number or its text, and an int a whole one."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float, str)) \
+            or kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
 
 
-def _numbers(value, kind=float):
-    """A JSON list or comma-separated text as a list of ``kind``."""
-    if isinstance(value, (list, tuple)):
-        return [kind(v) for v in value]
-    return [kind(tok) for tok in str(value).split(",") if tok.strip()]
-
-
-def _point_rows(value):
-    """Parse 'x,y;x,y;...' (or a nested list) into an (m, d) array."""
-    if isinstance(value, (list, tuple)):
-        return np.asarray(value, dtype=float)
-    rows = [_numbers(tok) for tok in str(value).split(";") if tok.strip()]
-    return np.asarray(rows, dtype=float)
+def _parse(key, value):
+    """Option ``key``'s value as its type: a list option is a list or
+    comma-separated text, and --starts rows of them separated by ';'."""
+    kind = _TYPES.get(key)
+    if kind in (None, str):   # text, a file name or a system: as given
+        return value
+    if key == "starts":
+        rows = value.split(";") if isinstance(value, str) else value
+        return [_parse("point", row) for row in rows if str(row).strip()]
+    if key in _LISTS:
+        items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        return [_scalar(v, kind) for v in items if str(v).strip()]
+    return _scalar(value, kind)
 
 
 def _finite(flag, values):
@@ -90,14 +90,7 @@ def _finite(flag, values):
     return x
 
 
-def _fiber(opt):
-    fiber = float(opt["fiber"])
-    _finite("--fiber", fiber)
-    return fiber % 1.0
-
-
 def _positive_int(name, value):
-    value = int(value)
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return value
@@ -109,76 +102,72 @@ def _require(opt, key, flag):
     return opt[key]
 
 
-def _resolve_point(opt, system):
-    """One base point from --point / --fiber / the per-dimension default."""
-    d = system.dim
-    if opt.get("point") is not None:
-        x = _finite("--point", _numbers(opt["point"]))
-        if x.shape != (d,):
-            raise ValueError(f"--point needs {d} coordinates, got {x.size}")
-        return dyn.wrap(x)
-    x = np.array(_DEFAULT_COORDS[:d], dtype=float)
-    if opt.get("fiber") is not None:
-        if d < 2:
-            raise ValueError("--fiber needs a system with a fiber coordinate")
-        x[0] = _fiber(opt)
-    return x
+def _points(opt, system, samples=0):
+    """A command's base points as an (m, d) array.
+
+    ``--points`` (a CSV file), ``--grid`` (that many fibers at the default
+    point), ``samples`` seeded uniform draws and ``--point`` each choose the
+    points, and at most one may be given; with none, the one point is the
+    fixed default.  ``--fiber`` then sets coordinate 0 of every point; beside
+    ``--grid`` or ``--points``, which set it themselves, it is bad input.
+    """
+    d, grid, fiber = system.dim, opt.get("grid", 0), opt.get("fiber")
+    chosen = [flag for flag, given in (("--points", opt.get("points") is not None),
+                                       ("--grid", grid > 0), ("--samples", samples > 0),
+                                       ("--point", opt.get("point") is not None)) if given]
+    if len(chosen) > 1:
+        raise ValueError(f"{chosen[0]} and {chosen[1]} both choose the points; give one")
+    if fiber is not None and chosen[:1] in (["--points"], ["--grid"]):
+        raise ValueError(f"--fiber and {chosen[0]} both set coordinate 0; give one")
+    if chosen == ["--points"]:
+        pts = _finite("--points", np.loadtxt(opt["points"], delimiter=",", ndmin=2))
+        if pts.shape[1] != d:
+            raise ValueError(f"points file has {pts.shape[1]} columns, system needs {d}")
+        return pts
+    if d < 2 and grid > 0:
+        raise ValueError("--grid sweeps the fiber coordinate of a product system")
+    if d < 2 and fiber is not None:
+        raise ValueError("--fiber needs a system with a fiber coordinate")
+    pts = np.array([_DEFAULT_COORDS[:d]])
+    if grid > 0:
+        pts = np.repeat(pts, grid, axis=0)
+        pts[:, 0] = (np.arange(grid) + 0.5) / grid
+    elif samples > 0:
+        pts = np.random.default_rng([opt["seed"], 0]).random((samples, d))
+    elif opt.get("point") is not None:
+        pts = _finite("--point", opt["point"])[None]
+        if pts.shape != (1, d):
+            raise ValueError(f"--point needs {d} coordinates, got {pts.size}")
+        pts = dyn.wrap(pts)
+    if fiber is not None:
+        pts[:, 0] = dyn.wrap(_finite("--fiber", [fiber]))
+    return pts
 
 
 def _jsonl(records):
     return "".join(dumps(rec) + "\n" for rec in records)
 
 
-def cmd_exponents(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_exponents(opt, system):
     horizon = _positive_int("--horizon", opt["horizon"])
     samples = _positive_int("--samples", opt["samples"])
-    if samples == 1:
-        points = [_resolve_point(opt, system)]
-    else:
-        rng = np.random.default_rng([int(opt["seed"]), 0])
-        pts = rng.random((samples, system.dim))
-        if opt.get("fiber") is not None:
-            pts[:, 0] = _fiber(opt)
-        points = list(pts)
     rows = []
-    for s, x in enumerate(points):
-        spec = cocycle.lyapunov_spectrum(system, x, horizon,
-                                         chunk=int(opt["chunk"]),
-                                         merge_tol=float(opt["merge_tol"]))
-        for value, mult in zip(spec.exponents, spec.multiplicities):
-            rows.append((s, value, mult))
+    for s, x in enumerate(_points(opt, system, samples if samples > 1 else 0)):
+        spec = cocycle.lyapunov_spectrum(system, x, horizon, chunk=opt["chunk"],
+                                         merge_tol=opt["merge_tol"])
+        rows += [(s, value, mult) for value, mult in zip(spec.exponents, spec.multiplicities)]
     return csv_text(("sample", "exponent", "multiplicity"), rows)
 
 
-def _classify_points(opt, system):
-    grid = int(opt["grid"])
-    if opt.get("points") is not None:
-        pts = _finite("--points", np.loadtxt(opt["points"], delimiter=",", ndmin=2))
-        if pts.shape[1] != system.dim:
-            raise ValueError(
-                f"points file has {pts.shape[1]} columns, system needs {system.dim}")
-        return pts
-    if grid > 0:
-        if system.dim < 2:
-            raise ValueError("--grid sweeps the fiber coordinate of a product system")
-        pts = np.tile(np.array(_DEFAULT_COORDS[:system.dim]), (grid, 1))
-        pts[:, 0] = (np.arange(grid) + 0.5) / grid
-        return pts
-    samples = int(opt["samples"])
-    if samples > 0:
-        rng = np.random.default_rng([int(opt["seed"]), 0])
-        return rng.random((samples, system.dim))
-    return np.atleast_2d(_resolve_point(opt, system))
-
-
-def cmd_classify(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_classify(opt, system):
     splitting = dyn.reference_splitting(system)
-    params = pesin.PesinParams(K=int(opt["K"]), zeta=float(opt["zeta"]),
-                               k=int(opt["k"]))
+    params = pesin.PesinParams(K=opt["K"], zeta=opt["zeta"], k=opt["k"])
     horizon = _positive_int("--horizon", opt["horizon"])
-    points = _classify_points(opt, system)
+    points = _points(opt, system, opt["samples"])
+    if opt["geometry"] and not isinstance(system, dyn.Product24):
+        raise ValueError("--geometry is defined for the product24 system")
+    if opt["geometry"] and params.K != 1:
+        raise ValueError(f"--geometry needs --K 1 (unit windows), got --K {params.K}")
 
     chi_e, chi_f = pesin.mean_hyperbolicity_degree(
         system, points[0], splitting, params.K, 512)
@@ -193,25 +182,21 @@ def cmd_classify(opt):
     records = [{"point": [float(v) for v in x], **cert.to_dict()}
                for x, cert in zip(points, certs)]
     if opt["geometry"]:
-        if not isinstance(system, dyn.Product24):
-            raise ValueError("--geometry is defined for the product24 system")
         geo = pesin.block_geometry_product24(
-            params.zeta, params.k, grid_n=max(int(opt["grid"]), 1000),
-            horizon=horizon, K=params.K)
+            params.zeta, params.k, grid_n=max(opt["grid"], 1000), horizon=horizon)
         records.append({"geometry": geo.to_dict()})
     return _jsonl(records)
 
 
-def cmd_domination(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_domination(opt, system):
     splitting = dyn.reference_splitting(system)
-    x = _resolve_point(opt, system)
+    x = _points(opt, system)[0]
     horizon = _positive_int("--horizon", opt["horizon"])
-    report = cocycle.mean_exponents(system, x, splitting, int(opt["K"]), horizon)
+    report = cocycle.mean_exponents(system, x, splitting, opt["K"], horizon)
     return dumps(report.to_dict()) + "\n"
 
 
-def cmd_partition(opt):
+def cmd_partition(opt, system):
     n = _positive_int("--n", _require(opt, "n", "--n"))
     k = _positive_int("--k", _require(opt, "k", "--k"))
     K = _positive_int("--K", _require(opt, "K", "--K"))
@@ -220,67 +205,54 @@ def cmd_partition(opt):
                   "max_gap": part.max_gap, "times": list(part.times)}) + "\n"
 
 
-def cmd_qh_check(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_qh_check(opt, system):
     pseudo = shadow.read_pseudo_orbit(_require(opt, "file", "--file"))
     if pseudo.dim != system.dim:
         raise ValueError(
             f"pseudo-orbit dimension {pseudo.dim} != system dimension {system.dim}")
-    zeta = float(_require(opt, "zeta", "--zeta"))
-    e = None if opt.get("e") is None else int(opt["e"])
-    delta = None if opt.get("delta") is None else float(opt["delta"])
-    _, report = quasihyp.check_qh_pseudo_orbit(
-        system, pseudo, dyn.reference_splitting(system), zeta, e, delta,
-        int(opt["k"]), int(opt["K"]))
+    report = quasihyp.check_qh_pseudo_orbit(
+        system, pseudo, dyn.reference_splitting(system), _require(opt, "zeta", "--zeta"),
+        opt["e"], opt["delta"], opt["k"], opt["K"])
     return dumps(report) + "\n"
 
 
-def cmd_shadow(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_shadow(opt, system):
     pseudo = shadow.read_pseudo_orbit(_require(opt, "file", "--file"))
-    result = shadow.solve_shadow(system, pseudo, tol=float(opt["tol"]),
-                                 max_iter=int(opt["max_iter"]))
+    result = shadow.solve_shadow(system, pseudo, tol=opt["tol"], max_iter=opt["max_iter"])
     return dumps(result.to_dict()) + "\n"
 
 
-def cmd_close(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_close(opt, system):
     _require(opt, "point", "--point")
-    x = _resolve_point(opt, system)
+    x = _points(opt, system)[0]
     n = _positive_int("--n", _require(opt, "n", "--n"))
-    result = shadow.close_orbit(system, x, n, tol=float(opt["tol"]))
+    result = shadow.close_orbit(system, x, n, tol=opt["tol"])
     return dumps(result.to_dict()) + "\n"
 
 
-def cmd_glue(opt):
-    system = dyn.make_system(opt["system"])
-    shadow.check_tol(float(opt["tol"]))   # before the cover and the table are built
-    mesh = float(opt["mesh"])
-    if not 0.0 < mesh < np.inf:
-        raise ValueError(f"--mesh must be finite and positive, got {mesh}")
+def cmd_glue(opt, system):
+    # both before the cover and the table are built
+    shadow.check_positive("tol", opt["tol"])
+    shadow.check_positive("--mesh", opt["mesh"])
     d = system.dim
-    rng = np.random.default_rng([int(opt["seed"]), 0])
+    rng = np.random.default_rng([opt["seed"], 0])
     m = _positive_int("--segments", opt["segments"])
-    lo, hi = int(opt["len_min"]), int(opt["len_max"])
 
-    starts = rng.random((m, d)) if opt.get("starts") is None \
-        else _finite("--starts", _point_rows(opt["starts"]))
-    lengths = rng.integers(lo, hi + 1, size=m) if opt.get("lengths") is None \
-        else np.asarray(_numbers(opt["lengths"], int))
+    starts = rng.random((m, d)) if opt["starts"] is None else _finite("--starts", opt["starts"])
+    lengths = rng.integers(opt["len_min"], opt["len_max"] + 1, size=m) \
+        if opt["lengths"] is None else np.asarray(opt["lengths"])
     if starts.shape != (m, d) or lengths.shape != (m,):
         raise ValueError(f"need {m} starts of dimension {d} and {m} lengths")
 
     segments = [(starts[i], int(lengths[i])) for i in range(m)]
     pieces = [dyn.orbit_points(system, x, n) for x, n in segments]
     pieces.append(dyn.orbit_points(system, rng.random(d),
-                                   _positive_int("--cover-samples",
-                                                 opt["cover_samples"])))
-    cover = specmeas.build_cover(np.vstack(pieces), mesh)
-    table = specmeas.transition_times(system, cover, int(opt["min_n"]),
-                                      int(opt["horizon"]), int(opt["budget"]),
-                                      seed=int(opt["seed"]))
+                                   _positive_int("--cover-samples", opt["cover_samples"])))
+    cover = specmeas.build_cover(np.vstack(pieces), opt["mesh"])
+    table = specmeas.transition_times(system, cover, opt["min_n"], opt["horizon"],
+                                      opt["budget"], seed=opt["seed"])
     plan = specmeas.glue_segments(system, segments, cover, table)
-    result = specmeas.specification_shadow(system, plan, tol=float(opt["tol"]))
+    result = specmeas.specification_shadow(system, plan, tol=opt["tol"])
 
     total = int(sum(n for _, n in segments))
     lo_p, hi_p = total + m * table.X1, total + m * table.X2
@@ -300,37 +272,31 @@ def cmd_glue(opt):
     }) + "\n"
 
 
-def cmd_measure(opt):
-    system = dyn.make_system(opt["system"])
-    x0 = _resolve_point(opt, system)
+def cmd_measure(opt, system):
+    x0 = _points(opt, system)[0]
     target_n = _positive_int("--target-n", opt["target_n"])
     target = specmeas.EmpiricalMeasure.from_orbit(system, x0, target_n)
-    budgets = _numbers(opt["budgets"], int)
     curve = specmeas.measure_curve(
-        system, target, float(opt["delta"]), budgets, tol=float(opt["tol"]),
-        **{k: int(opt[k]) for k in ("degree", "n_segments", "min_n", "horizon",
-                                    "sample_orbits", "seed")})
-    rows = [(b, len(m.points), dist) for b, (m, dist) in zip(budgets, curve)]
+        system, target, opt["delta"], opt["budgets"], tol=opt["tol"],
+        **{k: opt[k] for k in ("degree", "n_segments", "min_n", "horizon",
+                               "sample_orbits", "seed")})
+    rows = [(b, len(m.points), dist) for b, (m, dist) in zip(opt["budgets"], curve)]
     return csv_text(("budget", "period", "distance"), rows)
 
 
-def cmd_probe_l(opt):
-    system = dyn.make_system(opt["system"])
+def cmd_probe_l(opt, system):
     constants = shadow.estimate_shadowing_constant(
-        system, _numbers(opt["deltas"]), _positive_int("--trials", opt["trials"]),
-        (int(opt["len_min"]), int(opt["len_max"])),
-        seed=int(opt["seed"]), tol=float(opt["tol"]))
+        system, opt["deltas"], _positive_int("--trials", opt["trials"]),
+        (opt["len_min"], opt["len_max"]), seed=opt["seed"], tol=opt["tol"])
     return dumps(constants.to_dict()) + "\n"
 
 
-def cmd_probe_per(opt):
-    system = dyn.make_system(opt["system"])
-    rng = np.random.default_rng([int(opt["seed"]), 0])
+def cmd_probe_per(opt, system):
+    rng = np.random.default_rng([opt["seed"], 0])
     sample = rng.random((_positive_int("--samples", opt["samples"]), system.dim))
     _, report = shadow.periodic_density_probe(
-        system, sample, _positive_int("--n-max", opt["n_max"]),
-        float(opt["epsilon"]), gap_cap=float(opt["gap_cap"]),
-        tol=float(opt["tol"]), return_report=True)
+        system, sample, _positive_int("--n-max", opt["n_max"]), opt["epsilon"],
+        gap_cap=opt["gap_cap"], tol=opt["tol"], return_report=True)
     return dumps(report) + "\n"
 
 
@@ -350,18 +316,11 @@ _COMMANDS = {
 
 
 def _add_flags(sub, spec):
-    """One --flag per default key; unset flags stay out of the namespace."""
+    """One --flag per default key, taking text that :func:`_resolve_options`
+    parses (a switch takes none); unset flags stay out of the namespace."""
     for key, default in spec.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            sub.add_argument(flag, dest=key, action="store_true",
-                             default=argparse.SUPPRESS)
-        elif isinstance(default, int):
-            sub.add_argument(flag, dest=key, type=int, default=argparse.SUPPRESS)
-        elif isinstance(default, float):
-            sub.add_argument(flag, dest=key, type=float, default=argparse.SUPPRESS)
-        else:
-            sub.add_argument(flag, dest=key, default=argparse.SUPPRESS)
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                         action="store_true" if isinstance(default, bool) else "store")
 
 
 def build_parser():
@@ -380,8 +339,10 @@ def build_parser():
 
 
 def _resolve_options(args):
+    """The defaults, then the --config object, then the flags, each value
+    parsed once to its option's type."""
     defaults = _DEFAULTS[args.cmd]
-    merged = dict(defaults)
+    cfg = {}
     if args.config:
         with open(args.config) as fh:
             try:
@@ -393,23 +354,25 @@ def _resolve_options(args):
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise ValueError(f"config {args.config}: unknown keys {sorted(unknown)}")
-        for key, value in cfg.items():
-            kind = _TYPES.get(key)
-            if not (value is None and defaults[key] is None or _fits(value, kind)):
-                raise ValueError(f"config {args.config}: {key} must be "
-                                 f"{_TYPE_NAMES.get(kind, 'text')}, got {json.dumps(value)}")
-        merged.update(cfg)
-    for key, value in vars(args).items():
-        if key not in ("cmd", "config", "out"):
-            merged[key] = value
-    return merged
+    flags = {key: v for key, v in vars(args).items() if key not in ("cmd", "config", "out")}
+    opt = {}
+    for where, values in (("", defaults), (f"config {args.config}: ", cfg), ("--", flags)):
+        for key, value in values.items():
+            try:
+                opt[key] = value if value is None and defaults[key] is None else _parse(key, value)
+            except (ValueError, OverflowError):   # float() of a huge int overflows
+                name = key.replace("_", "-") if where == "--" else key
+                raise ValueError(f"{where}{name} must be {_TYPE_NAMES[_TYPES[key]]}, "
+                                 f"got {json.dumps(value)}") from None
+    return opt
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         opt = _resolve_options(args)
-        text = _COMMANDS[args.cmd](opt)
+        system = dyn.make_system(opt["system"]) if "system" in opt else None
+        text = _COMMANDS[args.cmd](opt, system)
     except (PesinLabError, ValueError, OSError) as exc:
         if isinstance(exc, RuntimeError):   # the numerical failures
             print(f"pesinlab {args.cmd}: numerical failure: {exc}", file=sys.stderr)

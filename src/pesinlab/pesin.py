@@ -18,6 +18,7 @@ import numpy as np
 from . import systems as dyn
 from .cocycle import OrbitData
 from .errors import GeometryError
+from .shadow import check_positive
 
 __all__ = [
     "PesinParams",
@@ -45,8 +46,7 @@ class PesinParams:
     def __post_init__(self):
         if self.K < 1 or self.k < 1:
             raise ValueError(f"need K >= 1 and k >= 1, got K={self.K}, k={self.k}")
-        if not 0.0 < self.zeta < math.inf:
-            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
+        check_positive("zeta", self.zeta)
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,7 @@ def min_block_index(system, x, splitting, K, zeta, horizon):
     Passing is monotone in k, so this is the block index of the point at
     the given horizon.
     """
-    if not 0.0 < zeta < math.inf:
-        raise ValueError(f"zeta must be finite and positive, got {zeta}")
+    check_positive("zeta", zeta)
     tables = _BlockTables(system, np.asarray(x, dtype=float)[None, :],
                           splitting, K, horizon)
     k = int(tables.first_passing_k(zeta, horizon // 2)[0])
@@ -292,7 +291,10 @@ def min_block_scan_product24(x_values, zeta, horizon):
         raise ValueError(f"zeta must lie in (0, {log_u}), got {zeta}")
     if horizon < 4:
         raise ValueError(f"horizon too short: {horizon}")
-    xs = dyn.wrap(np.atleast_1d(np.asarray(x_values, dtype=float)))
+    xs = np.atleast_1d(np.asarray(x_values, dtype=float))
+    if not np.isfinite(xs).all():
+        raise ValueError("x_values has a non-finite fiber")
+    xs = dyn.wrap(xs)
     T = int(horizon)
     circle = dyn.CircleG()
     logg = np.log(circle.jacobian_many(dyn.orbit_many(circle, xs[:, None], T))[..., 0, 0])
@@ -320,15 +322,13 @@ def min_block_scan_product24(x_values, zeta, horizon):
     return first
 
 
-def block_geometry_product24(zeta, k, grid_n, horizon=200, K=1):
+def block_geometry_product24(zeta, k, grid_n, horizon=200):
     """Geometry of the passing set across the expanding fiber circle.
 
     Sweeps an x-grid at unit windows and returns the two-interval form
     [0, a] union [b, 1]; raises GeometryError if the passing set is not of
     that form at this horizon (surfaced, not silently repaired).
     """
-    if K != 1:
-        raise ValueError(f"only unit windows are supported here, got K={K}")
     if not 0.0 < zeta < math.log(2.0):
         raise ValueError(f"zeta must lie in (0, log 2), got {zeta}")
     if k < 1 or grid_n < 1000:

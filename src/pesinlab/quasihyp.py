@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cocycle import OrbitData
+from .shadow import check_positive
 
 __all__ = [
     "PartitionScheme",
@@ -112,8 +113,7 @@ def check_quasi_hyperbolic(system, x, n, splitting_at_x, zeta, partition):
     Df-invariant); each piece's E and F log norms are measured between
     consecutive partition times.
     """
-    if not 0.0 < zeta < np.inf:
-        raise ValueError(f"zeta must be finite and positive, got {zeta}")
+    check_positive("zeta", zeta)
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} steps, segment has {n}")
     times = np.asarray(partition.times)
@@ -146,7 +146,7 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
     partition has a gap.  The seams are ``pseudo.gaps``, so a periodic
     window's last seam wraps to the first segment; delta defaults to
     ``pseudo.delta``, and one given must be finite and positive.  Returns
-    (ok, report); the report names the first failing segment and the first
+    the report: ``passed``, and the first failing segment and the first
     seam at least delta, each None when none fails.
     """
     if e is None:
@@ -155,8 +155,8 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
         raise ValueError(f"e must be at least 1, got {e}")
     if delta is None:
         delta = pseudo.delta
-    elif not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta}")
+    else:
+        check_positive("delta", delta)
     certs = [check_quasi_hyperbolic(system, seg[0], n, splitting, zeta,
                                     canonical_partition(n, k, K))
              for seg, n in zip(pseudo.segments, pseudo.n_list)]
@@ -165,9 +165,8 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
 
     failed_segment = next((i for i, ok in enumerate(seg_pass) if not ok), None)
     failed_seam = next((i for i, g in enumerate(gap_sizes) if not g < delta), None)
-    ok = failed_segment is None and failed_seam is None
-    report = {
-        "passed": ok,
+    return {
+        "passed": failed_segment is None and failed_seam is None,
         "zeta": zeta,
         "e": int(e),
         "delta": delta,
@@ -177,5 +176,4 @@ def check_qh_pseudo_orbit(system, pseudo, splitting, zeta, e, delta, k, K):
         "first_failed_seam": failed_seam,
         "certificates": [c.to_dict() for c in certs],
     }
-    return ok, report
 

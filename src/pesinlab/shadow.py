@@ -34,6 +34,12 @@ __all__ = [
 _MAX_TOTAL = 10 ** 6
 
 
+def check_positive(name, value):
+    """Reject a ``value`` of ``name`` that is NaN, not positive or infinite."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class PseudoOrbit:
     """Chain of orbit segments with seam gaps below delta.
@@ -55,8 +61,8 @@ class PseudoOrbit:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("pseudo-orbit needs at least one segment")
-        if self.delta is not None and not 0.0 < self.delta < np.inf:
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        if self.delta is not None:
+            check_positive("delta", self.delta)
         d = segs[0].shape[1] if segs[0].ndim == 2 else 0
         for i, s in enumerate(segs):
             if s.ndim != 2 or s.shape[1] != d or s.shape[0] < 2:
@@ -364,12 +370,6 @@ def _chain_step(system, z, rhs, periodic):
     return np.concatenate(steps, axis=1)
 
 
-def check_tol(tol):
-    """Reject a Newton tolerance that is NaN, not positive or infinite."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
 def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     """Newton realization of an orbit through the pseudo-orbit window.
 
@@ -380,7 +380,7 @@ def solve_shadow(system, pseudo, tol=1e-12, max_iter=50):
     turns non-finite, has not halved over two steps or misses tol after
     max_iter, or a factorization fails; nothing is returned in that case.
     """
-    check_tol(tol)
+    check_positive("tol", tol)
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if pseudo.total_length > _MAX_TOTAL:
@@ -523,7 +523,7 @@ def periodic_density_probe(system, sample, n_max, epsilon, gap_cap=0.05,
         raise ValueError("sample must be nonempty")
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    check_tol(tol)
+    check_positive("tol", tol)
     if not (epsilon > 0.0 and gap_cap > 0.0):
         raise ValueError(f"need epsilon, gap_cap, tol > 0, got {epsilon}, {gap_cap}, {tol}")
     outcomes = []

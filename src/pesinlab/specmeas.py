@@ -17,7 +17,7 @@ import numpy as np
 
 from . import systems as dyn
 from .errors import DimensionMismatchError, UnresolvedTransitionError
-from .shadow import PseudoOrbit, check_tol, solve_shadow
+from .shadow import PseudoOrbit, check_positive, solve_shadow
 
 __all__ = [
     "Cover",
@@ -94,8 +94,7 @@ class Cover:
             raise ValueError("cover needs matching nonempty centers and radii")
         if not np.isfinite(centers).all():
             raise ValueError("cover centers must be finite")
-        if not 0.0 < self.mesh < np.inf:
-            raise ValueError(f"mesh must be finite and positive, got {self.mesh}")
+        check_positive("mesh", self.mesh)
         if not np.all((radii > 0.0) & (radii <= self.mesh / 2.0)):
             raise ValueError("radii must lie in (0, mesh/2]")
         object.__setattr__(self, "_grid", _Grid(centers, float(radii.max())))
@@ -132,8 +131,7 @@ def build_cover(samples, delta):
     if not np.isfinite(pts).all():
         raise ValueError("samples must be finite")
     pts = dyn.wrap(pts)
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta}")
+    check_positive("delta", delta)
     radius = delta / 2.0
     grid = _Grid(pts, radius)
     centers = []
@@ -467,9 +465,8 @@ def measure_curve(system, target, delta, budgets, tol=1e-12, degree=3,
         raise ValueError(f"need degree >= 1, got {degree}")
     if sample_orbits < 1:
         raise ValueError(f"need sample_orbits >= 1, got {sample_orbits}")
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta}")
-    check_tol(tol)
+    check_positive("delta", delta)
+    check_positive("tol", tol)
     top = max(budgets)
     step_gap = dyn.torus_distance(system.step_many(pts[:top]), pts[1:top + 1])
     if float(np.max(step_gap)) > 1e-9:

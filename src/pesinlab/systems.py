@@ -557,6 +557,8 @@ def _orbit_many(system, starts, n, orbit, step_many):
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if len(starts) == 1 and orbit:
         return orbit(as_point(starts[0], system.dim), n)[:, None]
+    if not np.isfinite(starts).all():
+        raise ValueError("starts have a non-finite coordinate")
     out = np.empty((n + 1,) + starts.shape)
     out[0] = wrap(starts)
     for t in range(n):

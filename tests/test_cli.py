@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -17,8 +18,8 @@ from pesinlab.cli import main
 from pesinlab.shadow import make_pseudo_orbit, write_pseudo_orbit
 
 LOG_U = np.log((3.0 + np.sqrt(5.0)) / 2.0)
-PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "pyproject.toml")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 
 def _rows(csv_text):
@@ -62,7 +63,7 @@ def test_exit_status_follows_the_error_type(name, capsys, monkeypatch):
     cls = getattr(errors, name)
     assert issubclass(cls, (RuntimeError, ValueError)) or cls is errors.PesinLabError
 
-    def fail(opt):
+    def fail(opt, system):
         raise cls("injected")
 
     monkeypatch.setitem(cli._COMMANDS, "partition", fail)
@@ -371,6 +372,57 @@ def test_classify_grid(capsys):
     assert fibers == [0.125, 0.375, 0.625, 0.875]
 
 
+@pytest.mark.parametrize("argv, cfg, flags", [
+    (["classify", "--grid", "2", "--point", "0.1,0.2,0.3"], None, ("--grid", "--point")),
+    (["exponents", "--system", "product24", "--samples", "2", "--point", "0.1,0.2,0.3"],
+     None, ("--samples", "--point")),
+    (["classify", "--samples", "3", "--points", "{file}"], None, ("--points", "--samples")),
+    (["classify", "--grid", "2", "--fiber", "0.3"], None, ("--fiber", "--grid")),
+    (["classify", "--points", "{file}", "--fiber", "0.3"], None, ("--fiber", "--points")),
+    (["classify"], {"grid": 3, "fiber": 0.2}, ("--fiber", "--grid")),
+])
+def test_two_inputs_for_the_points_exit_2(tmp_path, capsys, argv, cfg, flags):
+    # each used to exit 0 with one of the two inputs silently dropped
+    path = tmp_path / "points.csv"
+    path.write_text("0.1,0.2,0.3\n")
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main([str(path) if a == "{file}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and all(flag in err for flag in flags)
+
+
+def test_fiber_sets_coordinate_0_of_the_chosen_points(capsys):
+    # domination used to read --point and drop --fiber, and classify
+    # --samples dropped it too
+    assert main(["domination", "--point", "0.1,0.2,0.3", "--fiber", "0.4"]) == 0
+    with_fiber = capsys.readouterr().out
+    assert main(["domination", "--point", "0.4,0.2,0.3"]) == 0
+    assert capsys.readouterr().out == with_fiber
+    assert main(["classify", "--samples", "2", "--fiber", "0.3", "--horizon", "120"]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rec["point"][0] for rec in recs] == [0.3, 0.3]
+    assert recs[0]["point"][1:] != recs[1]["point"][1:]
+    # a fiber that rounds to 1 mod 1 is the point 0, inside [0, 1)
+    assert main(["classify", "--fiber=-1e-20", "--horizon", "120"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"][0] == 0.0
+
+
+def test_exponents_one_sample_is_the_base_point(capsys):
+    assert main(["exponents", "--point", "0.2,0.3", "--horizon", "500"]) == 0
+    one = capsys.readouterr().out
+    assert main(["exponents", "--samples", "1", "--point", "0.2,0.3", "--horizon", "500"]) == 0
+    assert capsys.readouterr().out == one
+
+
+def test_classify_geometry_needs_unit_windows(capsys):
+    # block_geometry_product24 sweeps unit windows alone
+    assert main(["classify", "--geometry", "--K", "2", "--horizon", "120"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --geometry needs --K 1" in err
+
+
 def test_classify_rejects_non_invariant_splitting(tmp_path, capsys):
     # cat map with the coordinate splitting, which Df does not preserve
     cfg = tmp_path / "coords.json"
@@ -570,6 +622,8 @@ def test_config_resolution(tmp_path, capsys):
     (["classify"], {"geometry": "no"}, 'geometry must be true or false, got "no"'),
     (["measure"], {"budgets": [1000.9]}, "budgets must be an integer, got [1000.9]"),
     (["exponents"], {"horizon": None}, "horizon must be an integer, got null"),
+    (["exponents"], {"horizon": "12x"}, 'horizon must be an integer, got "12x"'),
+    (["domination"], {"fiber": [0.1]}, "fiber must be a number, got [0.1]"),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, argv, cfg, why):
     # each used to be coerced (n = 41, k = 1, the geometry sweep on, budget
@@ -579,6 +633,32 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, argv, cfg, why):
     assert main(argv + ["--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"error: config {path}: {why}" in err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["exponents", "--horizon", "x"], '--horizon must be an integer, got "x"'),
+    (["exponents", "--merge-tol", "abc"], '--merge-tol must be a number, got "abc"'),
+    (["partition", "--n", "4.5", "--k", "1", "--K", "1"], '--n must be an integer, got "4.5"'),
+    (["measure", "--budgets", "1000,x"], '--budgets must be an integer, got "1000,x"'),
+])
+def test_flag_value_of_wrong_type_exits_2(capsys, argv, why):
+    # a flag's text is parsed as a config value is, and named the same way
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"pesinlab {argv[0]}: error: {why}\n"
+
+
+def test_readme_commands_parse():
+    # parsing runs no command: each line of the README's command block
+    # names a command, its flags and values of their types
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = re.search(r"## Command line.*?```sh\n(.*?)```", fh.read(), re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("pesinlab ")]
+    assert len(lines) == 10
+    parser = cli.build_parser()
+    for line in lines:
+        opt = cli._resolve_options(parser.parse_args(line[1:]))
+        assert set(opt) == set(cli._DEFAULTS[line[1]])
 
 
 def _console_script_target():

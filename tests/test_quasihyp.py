@@ -128,8 +128,8 @@ def test_pseudo_orbit_exact_split(cat, cat_split):
     x0 = np.array([0.2, 0.7])
     mid = dyn.orbit_points(cat, x0, 20)[-1]
     pseudo = make_pseudo_orbit(cat, [x0, mid], [20, 20], periodic=False)
-    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-9, k=2, K=3)
-    assert ok and rep["passed"]
+    rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-9, k=2, K=3)
+    assert rep["passed"] is True
     assert rep["e"] == 9  # defaults to (k+1)K
     assert rep["gaps"] == [0.0]
     assert rep["first_failed_segment"] is None and rep["first_failed_seam"] is None
@@ -170,8 +170,8 @@ def test_pseudo_orbit_gap_detected(cat, cat_split):
     x0 = np.array([0.2, 0.7])
     mid = dyn.orbit_points(cat, x0, 20)[-1]
     pseudo = make_pseudo_orbit(cat, [x0, dyn.wrap(mid + 2e-9)], [20, 20], periodic=False)
-    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-9, k=2, K=3)
-    assert not ok and rep["first_failed_seam"] == 0
+    rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-9, k=2, K=3)
+    assert rep["passed"] is False and rep["first_failed_seam"] == 0
     assert rep["first_failed_segment"] is None
     assert rep["gaps"][0] > 1e-9
     with pytest.raises(ValueError, match="at least one segment"):
@@ -184,10 +184,10 @@ def test_pseudo_orbit_segment_failure_reported(p24, p24_split):
     half = np.array([0.5, 0.3, 0.6])
     end = dyn.orbit_points(p24, good, 24)[-1]
     pseudo = make_pseudo_orbit(p24, [good, half], [24, 24], periodic=False)
-    ok, rep = check_qh_pseudo_orbit(p24, pseudo, p24_split, 0.4, None,
-                                    float(dyn.torus_distance(end, half)) + 1e-9,
-                                    k=2, K=3)
-    assert not ok
+    rep = check_qh_pseudo_orbit(p24, pseudo, p24_split, 0.4, None,
+                                float(dyn.torus_distance(end, half)) + 1e-9,
+                                k=2, K=3)
+    assert rep["passed"] is False
     assert rep["segment_pass"] == [True, False]
     assert rep["first_failed_segment"] == 1 and rep["first_failed_seam"] is None
 
@@ -196,8 +196,8 @@ def test_pseudo_orbit_seam_failure_not_a_segment(cat, cat_split):
     # both segments pass; only seam 0 (gap 0.2236) exceeds delta
     pseudo = make_pseudo_orbit(cat, [np.array([0.1, 0.2]), np.array([0.5, 0.5])],
                                [10, 10], periodic=False)
-    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.4, None, 1e-3, k=1, K=1)
-    assert not ok
+    rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.4, None, 1e-3, k=1, K=1)
+    assert rep["passed"] is False
     assert rep["segment_pass"] == [True, True]
     assert rep["gaps"][0] == pytest.approx(0.2236, abs=1e-4)
     assert rep["first_failed_seam"] == 0
@@ -210,13 +210,13 @@ def test_pseudo_orbit_periodic_wrap_seam_checked(cat, cat_split):
     x0 = np.array([0.1234, 0.777])
     mid = dyn.orbit_points(cat, x0, 12)[-1]
     pseudo = make_pseudo_orbit(cat, [x0, mid], [12, 12], periodic=True)
-    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-6, k=1, K=1)
-    assert not ok
+    rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, 1e-6, k=1, K=1)
+    assert rep["passed"] is False
     assert rep["segment_pass"] == [True, True]
     assert rep["gaps"][0] == 0.0
     assert rep["gaps"][1] == pytest.approx(0.2302, abs=1e-4)
     assert rep["first_failed_seam"] == 1 and rep["first_failed_segment"] is None
     # delta=None takes the chain's own bound, which every seam is below
-    ok, rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, None, k=1, K=1)
-    assert ok and rep["delta"] == pseudo.delta
+    rep = check_qh_pseudo_orbit(cat, pseudo, cat_split, 0.5, None, None, k=1, K=1)
+    assert rep["passed"] is True and rep["delta"] == pseudo.delta
 

@@ -110,6 +110,17 @@ def test_orbit_many_matches_single(cat):
         assert np.allclose(batch[:, i], dyn.orbit_points(cat, x, 6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("orbit", [dyn.orbit_many, dyn.orbit_many_back])
+@pytest.mark.parametrize("n_starts", [1, 2, 5])
+def test_orbit_many_rejects_a_non_finite_start(cat, orbit, n_starts, bad):
+    # a batch of two or more used to carry a NaN start through every step
+    starts = np.random.default_rng(3).random((n_starts, 2))
+    starts[-1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        orbit(cat, starts, 4)
+
+
 def test_cat_orbit_matches_generic_step_loop(cat):
     starts = [[0.123, 0.456], [np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0],
               [0.0, 0.0], [0.25, 0.5], [3 / 1024, 1001 / 1024]]
