@@ -50,12 +50,15 @@ _DEFAULTS = {
 }
 
 # Type of each option (of its entries, for a list): its default's, or the
-# one given here where the default is None.
+# one given here where the default is None; a system is a name or the JSON
+# object of a composite map.
 _TYPES = {key: type(v[0] if isinstance(v, tuple) else v) for spec in _DEFAULTS.values()
           for key, v in spec.items() if v is not None}
-_TYPES.update(n=int, e=int, lengths=int, point=float, fiber=float, starts=float)
+_TYPES.update(n=int, e=int, lengths=int, point=float, fiber=float, starts=float,
+              file=str, points=str, system=(str, dict))
 _LISTS = {"budgets", "deltas", "lengths", "point"}
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "text",
+               (str, dict): "text or a JSON object"}
 
 
 def _scalar(value, kind):
@@ -70,8 +73,10 @@ def _scalar(value, kind):
 def _parse(key, value):
     """Option ``key``'s value as its type: a list option is a list or
     comma-separated text, and --starts rows of them separated by ';'."""
-    kind = _TYPES.get(key)
-    if kind in (None, str):   # text, a file name or a system: as given
+    kind = _TYPES[key]
+    if kind in (str, (str, dict)):   # a file name, or a system's name or object
+        if not isinstance(value, kind):
+            raise ValueError(value)
         return value
     if key == "starts":
         rows = value.split(";") if isinstance(value, str) else value
@@ -108,8 +113,9 @@ def _points(opt, system, samples=0):
     ``--points`` (a CSV file), ``--grid`` (that many fibers at the default
     point), ``samples`` seeded uniform draws and ``--point`` each choose the
     points, and at most one may be given; with none, the one point is the
-    fixed default.  ``--fiber`` then sets coordinate 0 of every point; beside
-    ``--grid`` or ``--points``, which set it themselves, it is bad input.
+    fixed default, which exists in dimension 3 or less.  ``--fiber`` then
+    sets coordinate 0 of every point; beside ``--grid`` or ``--points``,
+    which set it themselves, it is bad input.
     """
     d, grid, fiber = system.dim, opt.get("grid", 0), opt.get("fiber")
     chosen = [flag for flag, given in (("--points", opt.get("points") is not None),
@@ -128,6 +134,9 @@ def _points(opt, system, samples=0):
         raise ValueError("--grid sweeps the fiber coordinate of a product system")
     if d < 2 and fiber is not None:
         raise ValueError("--fiber needs a system with a fiber coordinate")
+    if d > len(_DEFAULT_COORDS) and (grid > 0 or not chosen):
+        need = "--points" if grid > 0 else "--point"
+        raise ValueError(f"no default point in dimension {d}; give {need}")
     pts = np.array([_DEFAULT_COORDS[:d]])
     if grid > 0:
         pts = np.repeat(pts, grid, axis=0)

@@ -122,8 +122,28 @@ class Cover:
         return key // self.size, key % self.size
 
 
+# Samples per batch of build_cover's greedy and candidate pairs per run of
+# its marking: large enough to share numpy's per-call cost among many
+# centers, small enough that a batch's pairwise distances and a run's tests
+# of samples an earlier center of the run covers stay cheap.
+_BATCH = 32
+_RUN_PAIRS = 4096
+
+
 def build_cover(samples, delta):
-    """Greedy cover: first uncovered sample becomes a center of radius delta/2."""
+    """Greedy cover: first uncovered sample becomes a center of radius delta/2.
+
+    The greedy runs a batch at a time.  A batch is the first _BATCH
+    uncovered samples, and a sample of it is a center iff no earlier center
+    of the batch is within the radius.  Each distance is
+    torus_distance(later sample, earlier one), the call that marks covered
+    samples below, so these are the centers of the one-at-a-time greedy.
+    The new centers' grid candidates are then tested in runs of consecutive
+    centers, a run starting at the center that holds every _RUN_PAIRS-th
+    candidate, and a run tests only the samples earlier runs left
+    uncovered.  So sparse samples take one run per batch, while a center
+    with that many candidates is a run of its own, as one at a time.
+    """
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if len(pts) == 0:
         raise ValueError("samples must be nonempty")
@@ -136,14 +156,30 @@ def build_cover(samples, delta):
     grid = _Grid(pts, radius)
     centers = []
     uncovered = np.ones(len(pts), dtype=bool)
-    while uncovered.any():
-        c = pts[int(np.argmax(uncovered))]
+    idx = np.arange(min(len(pts), _BATCH))
+    while idx.size:
+        batch = pts[idx]
+        # close[a, b] for a > b: the later sample a is within the radius of b
+        close = dyn.torus_distance(batch[:, None], batch) < radius
+        new, hit = [], np.zeros(len(batch), dtype=bool)
+        for p in range(len(batch)):
+            if not hit[p]:
+                new.append(p)
+                hit |= close[:, p]
+        c = batch[new]
         centers.append(c)
-        _, near = grid.candidates(c[None, :])
-        near = near[uncovered[near]]
-        dist = dyn.torus_distance(pts[near], c)
-        uncovered[near[dist < radius]] = False
-    centers = np.array(centers)
+        q, near = grid.candidates(c)
+        cuts = np.append(np.unique(np.searchsorted(q, q[::_RUN_PAIRS])), len(q))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            keep = uncovered[near[lo:hi]]
+            run, owner = near[lo:hi][keep], q[lo:hi][keep]
+            # take: fancy indexing of rows this narrow costs several times more
+            dist = dyn.torus_distance(pts.take(run, axis=0), c.take(owner, axis=0))
+            uncovered[run[dist < radius]] = False
+        # every sample up to the batch's last is now covered
+        rest = idx[-1] + 1
+        idx = rest + np.flatnonzero(uncovered[rest:])[:_BATCH]
+    centers = np.concatenate(centers)
     return Cover(centers=centers, radii=np.full(len(centers), radius), mesh=float(delta))
 
 
@@ -198,9 +234,11 @@ def transition_times(system, cover, min_n, horizon, budget, seed=0):
     t' = L_j(s - min_n) >= t is in ball j with the same first hit s, so
     s - t' <= s - t, and optimality forces t' = t.  So every least transit
     and its earliest start appear among the candidates.  An orbit costs
-    O((horizon + hits) * m) time and O(m^2 + block) memory for m balls,
-    where hits counts its (time, ball) memberships and a block of the
-    table holds at most _BLOCK_ENTRIES entries.
+    O((horizon + hits) * m) time for m balls, where hits counts its
+    (time, ball) memberships.  Memory is O(m^2 + block): the table keeps
+    8 (1 + d) bytes a ball pair (X and a witness), an orbit's keys take 4
+    bytes a pair up to horizon 32,767 and 8 above it, and a block of the
+    last-visit table holds at most _BLOCK_ENTRIES entries of the keys' type.
     """
     if min_n < 1 or horizon < min_n:
         raise ValueError(f"need 1 <= min_n <= horizon, got {min_n}, {horizon}")
@@ -236,19 +274,26 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
     u = s - min_n, built one block of rows at a time with the last row
     carried to the next block.  Before its first visit L_j holds the
     sentinel -(horizon + 1), so such a candidate has transit > horizon and
-    never beats the initial key.  A block's candidates are folded into
-    key[i] in rounds, the r-th hit of every ball in round r, so no index
-    repeats within a round.
+    never beats the initial key.  A block's candidates are formed in place
+    on its gathered rows of L and folded into key[i] in rounds, the r-th
+    hit of every ball in round r, so no index repeats within a round.
+
+    Keys and L are int32 whenever the largest key fits, else int64.  That
+    key, s * (horizon + 2) + (horizon + 1)^2 at s = horizon, is
+    2 horizon^2 + 4 horizon + 1, which is 2^31 - 1 at horizon 32,767; each
+    partial sum of a candidate lies between -(horizon + 1)^2 and it.
     """
     span = horizon + 2
-    key = np.full((m, m), (horizon + 1) * span, dtype=np.int64)
-    last = np.full(m, -(horizon + 1), dtype=np.int32)
+    fits = 2 * horizon * horizon + 4 * horizon + 1 <= np.iinfo(np.int32).max
+    dtype = np.int32 if fits else np.int64
+    key = np.full((m, m), (horizon + 1) * span, dtype=dtype)
+    last = np.full(m, -(horizon + 1), dtype=dtype)
     rows = max(1, _BLOCK_ENTRIES // m)
     sources = horizon - min_n + 1
     for u0 in range(0, sources, rows):
         u1 = min(u0 + rows, sources)
         a, b = np.searchsorted(t_mem, [u0, u1])
-        L = np.full((u1 - u0, m), -(horizon + 1), dtype=np.int32)
+        L = np.full((u1 - u0, m), -(horizon + 1), dtype=dtype)
         L[t_mem[a:b] - u0, b_mem[a:b]] = t_mem[a:b]
         np.maximum(L[0], last, out=L[0])
         np.maximum.accumulate(L, axis=0, out=L)
@@ -262,8 +307,9 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
         order = by_ball[np.argsort(rank, kind="stable")]
         bounds = np.cumsum(np.r_[0, np.bincount(rank)]).tolist()
         s, i = s[order], i[order]
-        cand = np.multiply(L[s - (u0 + min_n)], -(horizon + 1), dtype=np.int64)
-        cand += (s * span)[:, None]
+        cand = L[s - (u0 + min_n)]
+        cand *= -(horizon + 1)
+        cand += (s * span).astype(dtype)[:, None]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rnd, balls = cand[lo:hi], i[lo:hi]
             np.minimum(rnd, key[balls], out=rnd)

@@ -635,6 +635,66 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, argv, cfg, why):
     assert out == "" and f"error: config {path}: {why}" in err
 
 
+@pytest.mark.parametrize("argv, cfg, why", [
+    (["qh-check"], {"file": 0, "zeta": 0.5}, "file must be text, got 0"),
+    (["shadow"], {"file": ["a.txt"]}, 'file must be text, got ["a.txt"]'),
+    (["classify"], {"points": 1}, "points must be text, got 1"),
+    (["exponents"], {"system": 3}, "system must be text or a JSON object, got 3"),
+    (["exponents"], {"system": ["cat"]}, 'system must be text or a JSON object, got ["cat"]'),
+])
+def test_text_option_of_wrong_type_exits_2(tmp_path, capsys, monkeypatch, argv, cfg, why):
+    # "file": 0 used to open file descriptor 0, standard input
+    real_open = open
+
+    def no_descriptor(file, *args, **kwargs):
+        assert not isinstance(file, int), f"opened file descriptor {file}"
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_descriptor)
+    monkeypatch.setattr(sys, "stdin", None)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(argv + ["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"pesinlab {argv[0]}: error: config {path}: {why}\n"
+
+
+_DIAGONAL_4D = {"kind": "composite", "dim": 4,
+                "map": ["(0.5*x0) % 1.0", "(2*x1) % 1.0", "(3*x2) % 1.0", "(4*x3) % 1.0"],
+                "jacobian": [["0.5", "0", "0", "0"], ["0", "2", "0", "0"],
+                             ["0", "0", "3", "0"], ["0", "0", "0", "4"]],
+                "e_basis": [[1.0], [0.0], [0.0], [0.0]],
+                "f_basis": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("argv, need", [
+    (["exponents"], "--point"),
+    (["exponents", "--fiber", "0.3"], "--point"),
+    (["measure"], "--point"),
+    (["classify", "--grid", "2"], "--points"),
+])
+def test_no_default_point_in_dimension_4(tmp_path, capsys, argv, need):
+    # the default point has 3 coordinates; a 4-D system used to fail with
+    # "expected dimension 4, got 3", naming no input
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": _DIAGONAL_4D}))
+    assert main(argv + ["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"pesinlab {argv[0]}: error: no default point in dimension 4; give {need}\n"
+
+
+def test_4d_system_runs_at_a_given_point(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": _DIAGONAL_4D, "point": "0.1,0.2,0.3,0.4"}))
+    assert main(["exponents", "--config", str(path), "--horizon", "200"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert sorted(float(r[1]) for r in rows) == pytest.approx(np.log([0.5, 2.0, 3.0, 4.0]))
+    # seeded samples need no default point
+    path.write_text(json.dumps({"system": _DIAGONAL_4D}))
+    assert main(["exponents", "--config", str(path), "--samples", "2", "--horizon", "50"]) == 0
+    assert {r[0] for r in _rows(capsys.readouterr().out)[1]} == {"0", "1"}
+
+
 @pytest.mark.parametrize("argv, why", [
     (["exponents", "--horizon", "x"], '--horizon must be an integer, got "x"'),
     (["exponents", "--merge-tol", "abc"], '--merge-tol must be a number, got "abc"'),

@@ -153,6 +153,49 @@ def test_cover_grid_radius_just_above_a_cell_width():
     assert build_cover(pts[::-1], 2.0 * r).size == 2
 
 
+def _cover_samples(case):
+    """Several hundred to a few thousand samples, so greedy batches end at
+    many places."""
+    rng = np.random.default_rng(5)
+    if case == "sparse":          # few samples a cell: one run a batch
+        return rng.random((2000, 2)), 0.05
+    if case == "dense":           # every sample a candidate of every center
+        return rng.random((3000, 2)), 0.5
+    if case == "lattice-below":   # spacing 1/60 < radius: few centers
+        return _grid_points(60)[rng.permutation(3600)], 0.1
+    if case == "lattice-above":   # spacing 1/25 > radius: each sample a center
+        return _grid_points(25), 0.05
+    if case == "cell-edges":      # coordinates k/(3n), on the edges k/n too
+        n = int(1.0 / (0.1 * (1.0 + 1e-9)))   # the grid's cells per axis
+        return _grid_points(3 * n)[rng.permutation(9 * n * n)], 0.2
+    if case == "duplicates":      # each sample up to five times, shuffled
+        pts = rng.random((300, 2))
+        return rng.permutation(np.repeat(pts, rng.integers(1, 6, 300), axis=0)), 0.1
+    if case == "radius-just-above-width":   # 1/r just below 5: four cells
+        r = 0.2 * (1.0 + 5e-10)
+        return np.concatenate([rng.random((600, 1)), np.arange(20)[:, None] / 4]), 2 * r
+    if case == "3d":
+        return rng.random((1500, 3)) * 1.4 - 0.2, 0.3
+    raise ValueError(case)
+
+
+_COVER_CASES = ["sparse", "dense", "lattice-below", "lattice-above", "cell-edges",
+                "duplicates", "radius-just-above-width", "3d"]
+
+
+@pytest.mark.parametrize("batch, run_pairs", [(None, None), (1, 1), (3, 7), (200, 50)])
+@pytest.mark.parametrize("case", _COVER_CASES)
+def test_cover_across_batches_matches_dense_scan(case, batch, run_pairs):
+    pts, mesh = _cover_samples(case)
+    sizes = {"_BATCH": batch or specmeas._BATCH,
+             "_RUN_PAIRS": run_pairs or specmeas._RUN_PAIRS}
+    with mock.patch.multiple(specmeas, **sizes):
+        cover = build_cover(pts, mesh)
+    expected = _dense_cover_centers(pts, mesh)
+    assert np.array_equal(cover.centers, expected)
+    assert len(expected) > 1
+
+
 def _brute_transits(system, cover, min_n, horizon, budget, seed):
     """Least transit per ball pair by scanning every start time of every orbit."""
     m, d = cover.size, cover.centers.shape[1]
@@ -238,6 +281,23 @@ def test_transition_blocks_edge_cases(cat, rows):
     sampled = build_cover(np.random.default_rng(8).random((60, 2)), 0.3)
     _check_blocked_table(cat, sampled, 5, 5, 3, 11, rows)
     _check_blocked_table(cat, sampled, 7, 30, 3, 11, rows)
+
+
+@pytest.mark.parametrize("horizon, dtype", [(32_767, np.int32), (32_768, np.int64)])
+def test_transit_keys_at_the_int32_bound(horizon, dtype):
+    # The largest key, 2 h^2 + 4 h + 1, is 2^31 - 1 at h = 32,767.  Ball 1
+    # is never visited, so every hit of ball 0 at a time near h forms that
+    # largest candidate from ball 1; wrapped around, it would turn X[0, 1]
+    # from -1 into a transit.
+    x0 = np.random.default_rng([3, 0]).random(1)[0]
+    cover = Cover(centers=[[x0 + 0.25], [x0 + 0.0625]], radii=[0.01, 0.01], mesh=0.02)
+    table = transition_times(_ROTATION, cover, 5, horizon, 1, seed=3)
+    X, W = _brute_transits(_ROTATION, cover, 5, horizon, 1, 3)
+    assert np.array_equal(table.X, X) and X[0, 0] == 8 and X[0, 1] == -1
+    assert np.array_equal(table.witnesses, W, equal_nan=True)
+    orbit = dyn.orbit_points(_ROTATION, np.array([x0]), horizon)
+    keys = specmeas._least_transit_keys(*cover.members(orbit), 2, 5, horizon)
+    assert keys.dtype == dtype and keys.min() >= 0
 
 
 def test_fixed_point_self_transit(cat):
