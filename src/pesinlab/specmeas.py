@@ -10,7 +10,6 @@ the weak-* sense via trigonometric test functions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,37 +42,63 @@ class _Grid:
     """Uniform grid index of torus points, cells strictly wider than ``radius``.
 
     A point within ``radius`` of another lies in one of the 3^d cells around
-    the other's cell (mod n), so those cells hold every candidate.  Items are
-    stored sorted by cell (ascending index within a cell) with CSR offsets.
+    the other's cell (mod n), so those cells hold every candidate.  Each
+    cell keeps the items of those cells as one CSR list, so a query is one
+    lookup of its own cell.  A list takes the cells at offsets
+    product((0, 1, -1), repeat=d) in that order (each cell once when
+    n <= 2) and each cell's items ascending.  Memory is O(n^d + 3^d items).
     """
 
     def __init__(self, points, radius):
         d = points.shape[1]
         n = int(1.0 / (radius * (1.0 + 1e-9)))
-        self.n = max(1, min(n, int(_MAX_CELLS ** (1.0 / d) + 1e-9)))
-        self.strides = self.n ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        steps = np.unique(np.array([-1, 0, 1]) % self.n)
-        self.offsets = np.array(list(itertools.product(steps, repeat=d)))
-        keys = self.cells(points) @ self.strides
-        self.order = np.argsort(keys, kind="stable")
-        self.start = np.searchsorted(keys[self.order],
-                                     np.arange(self.n ** d + 1))
+        self.n = n = max(1, min(n, int(_MAX_CELLS ** (1.0 / d) + 1e-9)))
+        keys = self.keys(points)
+        # numpy's stable sort of keys of 16 bits or less is a radix sort
+        order = np.argsort(keys.astype(np.min_scalar_type(n ** d - 1)), kind="stable")
+        count = np.bincount(keys, minlength=n ** d)
+        occupied = np.flatnonzero(count)
+        size = count[occupied]
+        # listers[j, c]: the cell whose list holds occupied cell c at offset
+        # j, c minus that offset.  For one j these cells are distinct, and
+        # every list fills in j order.
+        steps = np.unique(np.array([-1, 0, 1]) % n)
+        listers = np.zeros((len(occupied), 1), dtype=np.int64)
+        for a in range(d):
+            back = (occupied[:, None, None] // n ** (d - 1 - a) - steps) % n
+            listers = (listers[:, :, None] * n + back).reshape(len(occupied), -1)
+        listers = listers.T
+        length = np.zeros(n ** d, dtype=np.int64)
+        at = np.empty_like(listers)
+        for j, cells in enumerate(listers):
+            at[j] = length[cells]
+            length[cells] = at[j] + size
+        self.start = np.zeros(n ** d + 1, dtype=np.int64)
+        np.cumsum(length, out=self.start[1:])
+        at += self.start[listers]
+        self.items = np.empty(len(order) * len(listers), dtype=np.int64)
+        self.items[_spans(at.ravel(), np.tile(size, len(listers)))] = np.tile(
+            order, len(listers))
 
-    def cells(self, points):
-        """Cell coordinates of wrapped points (x < 1 keeps x * n below n)."""
-        return np.floor(dyn.wrap(points) * self.n).astype(np.int64)
+    def keys(self, points):
+        """Cell index of wrapped points (x < 1 keeps x * n below n)."""
+        cells = np.floor(dyn.wrap(points) * self.n).astype(np.int64)
+        key = cells[:, 0]
+        for a in range(1, cells.shape[1]):
+            key = key * self.n + cells[:, a]
+        return key
 
     def candidates(self, points):
         """(query index, item index) for every item near each query's cell."""
-        near = (self.cells(points)[:, None, :] + self.offsets) % self.n
-        keys = (near @ self.strides).ravel()
-        lo = self.start[keys]
-        cnt = self.start[keys + 1] - lo
-        total = int(cnt.sum())
-        first = np.cumsum(cnt) - cnt
-        pos = np.arange(total) - np.repeat(first - lo, cnt)
-        query = np.repeat(np.arange(len(points)), cnt.reshape(len(points), -1).sum(1))
-        return query, self.order[pos]
+        key = self.keys(points)
+        lo = self.start[key]
+        cnt = self.start[key + 1] - lo
+        return np.repeat(np.arange(len(points)), cnt), self.items[_spans(lo, cnt)]
+
+
+def _spans(lo, cnt):
+    """The ranges lo[k], ..., lo[k] + cnt[k] - 1, concatenated."""
+    return np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +128,13 @@ class Cover:
     def size(self):
         return len(self.centers)
 
+    @property
+    def dim(self):
+        return self.centers.shape[1]
+
     def locate(self, points):
         """Index of the first ball strictly containing each point, else -1."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._points(points)
         t, b = self.members(pts)
         out = np.full(len(pts), -1, dtype=np.int64)
         first = np.ones(len(t), dtype=bool)
@@ -115,11 +144,22 @@ class Cover:
 
     def members(self, points):
         """All (point index, ball index) membership pairs, point-major order."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._points(points)
         t, b = self._grid.candidates(pts)
-        inside = dyn.torus_distance(pts[t], self.centers[b]) < self.radii[b]
-        key = np.sort(t[inside] * self.size + b[inside])
-        return key // self.size, key % self.size
+        dist = dyn.torus_distance(pts.take(t, axis=0), self.centers.take(b, axis=0))
+        # compress: a boolean index of this many entries costs several times more
+        key = np.compress(dist < self.radii.take(b), t * self.size + b)
+        return np.divmod(np.sort(key), self.size)
+
+    def _points(self, points):
+        """``points`` as a finite (count, d) float array."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"points of shape {pts.shape} for a cover of dimension {self.dim}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
+        return pts
 
 
 # Samples per batch of build_cover's greedy and candidate pairs per run of
@@ -216,6 +256,10 @@ class TransitionTable:
 # max(1, _BLOCK_ENTRIES // m) source times for m balls.  Larger blocks save
 # little time and raise peak memory.
 _BLOCK_ENTRIES = 1 << 17
+# Rows of a chunk of _running_min's scan.  A block holds about
+# _BLOCK_ENTRIES entries whatever its shape, and 8 rows beat 4, 16 and 32
+# on both `specify`'s 164 x 799 blocks and `measure`'s 3,276 x 40 ones.
+_SCAN_ROWS = 8
 
 
 def transition_times(system, cover, min_n, horizon, budget, seed=0):
@@ -235,33 +279,43 @@ def transition_times(system, cover, min_n, horizon, budget, seed=0):
     s - t' <= s - t, and optimality forces t' = t.  So every least transit
     and its earliest start appear among the candidates.  An orbit costs
     O((horizon + hits) * m) time for m balls, where hits counts its
-    (time, ball) memberships.  Memory is O(m^2 + block): the table keeps
-    8 (1 + d) bytes a ball pair (X and a witness), an orbit's keys take 4
-    bytes a pair up to horizon 32,767 and 8 above it, and a block of the
-    last-visit table holds at most _BLOCK_ENTRIES entries of the keys' type.
+    (time, ball) memberships.  Memory is O(m^2 + block).  The table keeps
+    8 (1 + d) bytes a ball pair: X, and the witnesses as d contiguous
+    (m, m) columns behind the (m, m, d) view it returns.  An orbit adds, a
+    pair, its key and the transit and start taken from it, 4 bytes each up
+    to horizon 32,767 and 8 above it, a byte of mask and one 8-byte witness
+    column at a time; a block of the last-visit table holds at most
+    _BLOCK_ENTRIES entries of the keys' type.
     """
     if min_n < 1 or horizon < min_n:
         raise ValueError(f"need 1 <= min_n <= horizon, got {min_n}, {horizon}")
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
-    m = cover.size
-    d = cover.centers.shape[1]
-    span = horizon + 2
+    _check_dimension(system, cover)
+    m, d = cover.size, cover.dim
     unseen = horizon + 1
     X = np.full((m, m), unseen, dtype=np.int64)
-    witnesses = np.full((m * m, d), np.nan)
+    witnesses = np.full((d, m, m), np.nan)
 
     for orbit_idx in range(budget):
         rng = np.random.default_rng([seed, orbit_idx])
         orbit = dyn.orbit_points(system, rng.random(system.dim), horizon)
-        key = _least_transit_keys(*cover.members(orbit), m, min_n, horizon).ravel()
-        # transit < X exactly when key < X * span; ties keep the earlier orbit
-        better = key < X.ravel() * span
-        key = key[better]
-        X.ravel()[better] = key // span
-        witnesses[better] = orbit[key % span]
+        key = _least_transit_keys(*cover.members(orbit), m, min_n, horizon)
+        transit, start = np.divmod(key, horizon + 2)
+        # ties keep the earlier orbit; a pair with no transit has transit
+        # horizon + 1, which beats nothing
+        better = transit < X
+        np.copyto(X, transit, where=better)
+        for a in range(d):
+            np.copyto(witnesses[a], orbit[:, a].take(start), where=better)
     X[X == unseen] = -1
-    return TransitionTable(X=X, witnesses=witnesses.reshape(m, m, d))
+    return TransitionTable(X=X, witnesses=np.moveaxis(witnesses, 0, -1))
+
+
+def _check_dimension(system, cover):
+    if system.dim != cover.dim:
+        raise DimensionMismatchError(
+            f"system of dimension {system.dim} for a cover of dimension {cover.dim}")
 
 
 def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
@@ -269,34 +323,37 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
 
     The key packs transit * (horizon + 2) + start, so its minimum is the
     least transit and, among equal transits, the earliest start; a pair
-    with no transit keeps (horizon + 1) * (horizon + 2).  L (see
-    ``transition_times``) is a running maximum over source times
-    u = s - min_n, built one block of rows at a time with the last row
-    carried to the next block.  Before its first visit L_j holds the
-    sentinel -(horizon + 1), so such a candidate has transit > horizon and
-    never beats the initial key.  A block's candidates are formed in place
-    on its gathered rows of L and folded into key[i] in rounds, the r-th
-    hit of every ball in round r, so no index repeats within a round.
+    with no transit keeps (horizon + 1) * (horizon + 2).  The table holds
+    -(horizon + 1) L (see ``transition_times``), so a candidate's key is
+    its row plus s * (horizon + 2); it is a running minimum over source
+    times u = s - min_n, built one block of rows at a time with the last
+    row carried to the next block.  Before its first visit L_j holds the
+    sentinel -(horizon + 1), scaled (horizon + 1)^2, so such a candidate
+    has transit > horizon and never beats the initial key.  A block's
+    candidates are formed in place on its gathered rows and folded into
+    key[i] in rounds, the r-th hit of every ball in round r, so no index
+    repeats within a round.
 
-    Keys and L are int32 whenever the largest key fits, else int64.  That
-    key, s * (horizon + 2) + (horizon + 1)^2 at s = horizon, is
-    2 horizon^2 + 4 horizon + 1, which is 2^31 - 1 at horizon 32,767; each
-    partial sum of a candidate lies between -(horizon + 1)^2 and it.
+    Keys and the table are int32 whenever the largest key fits, else int64.
+    That key, s * (horizon + 2) + (horizon + 1)^2 at s = horizon, is
+    2 horizon^2 + 4 horizon + 1, which is 2^31 - 1 at horizon 32,767; a
+    table entry and each partial sum lie between -(horizon + 1)^2 and it.
     """
     span = horizon + 2
     fits = 2 * horizon * horizon + 4 * horizon + 1 <= np.iinfo(np.int32).max
     dtype = np.int32 if fits else np.int64
     key = np.full((m, m), (horizon + 1) * span, dtype=dtype)
-    last = np.full(m, -(horizon + 1), dtype=dtype)
+    never = (horizon + 1) ** 2
+    last = np.full(m, never, dtype=dtype)
     rows = max(1, _BLOCK_ENTRIES // m)
     sources = horizon - min_n + 1
     for u0 in range(0, sources, rows):
         u1 = min(u0 + rows, sources)
         a, b = np.searchsorted(t_mem, [u0, u1])
-        L = np.full((u1 - u0, m), -(horizon + 1), dtype=dtype)
-        L[t_mem[a:b] - u0, b_mem[a:b]] = t_mem[a:b]
-        np.maximum(L[0], last, out=L[0])
-        np.maximum.accumulate(L, axis=0, out=L)
+        L = np.full((u1 - u0, m), never, dtype=dtype)
+        L[t_mem[a:b] - u0, b_mem[a:b]] = t_mem[a:b] * -(horizon + 1)
+        np.minimum(L[0], last, out=L[0])
+        _running_min(L)
         last = L[-1].copy()
 
         a, b = np.searchsorted(t_mem, [u0 + min_n, u1 + min_n])
@@ -308,13 +365,32 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
         bounds = np.cumsum(np.r_[0, np.bincount(rank)]).tolist()
         s, i = s[order], i[order]
         cand = L[s - (u0 + min_n)]
-        cand *= -(horizon + 1)
         cand += (s * span).astype(dtype)[:, None]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rnd, balls = cand[lo:hi], i[lo:hi]
             np.minimum(rnd, key[balls], out=rnd)
             key[balls] = rnd
     return key
+
+
+def _running_min(L):
+    """In place, row r of L becomes the minimum of its rows 0..r.
+
+    Chunks of _SCAN_ROWS rows are scanned side by side, the minimum of the
+    earlier chunks is carried into each, and the rows after the last whole
+    chunk follow one at a time.  np.minimum.accumulate along axis 0 takes
+    up to twice as long.
+    """
+    c = _SCAN_ROWS
+    k = len(L) // c
+    chunks = L[:k * c].reshape(k, c, L.shape[1])
+    for r in range(1, c):
+        np.minimum(chunks[:, r], chunks[:, r - 1], out=chunks[:, r])
+    if k > 1:
+        carry = np.minimum.accumulate(chunks[:-1, -1], axis=0)
+        np.minimum(chunks[1:], carry[:, None], out=chunks[1:])
+    for r in range(max(k * c, 1), len(L)):
+        np.minimum(L[r], L[r - 1], out=L[r])
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +435,7 @@ def glue_segments(system, segments, cover, table):
     """
     if not segments:
         raise ValueError("need at least one segment")
+    _check_dimension(system, cover)
     seg_data = []
     for x, n in segments:
         if n < 1:

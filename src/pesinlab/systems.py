@@ -187,9 +187,17 @@ def torus_diff(a, b):
 
 def torus_distance(a, b):
     """Flat metric on the torus (Euclidean norm of the nearest difference):
-    the sum np.linalg.norm(d, axis=-1) takes, without its wrapper."""
+    the sum np.linalg.norm(d, axis=-1) takes, without its wrapper.  numpy
+    adds fewer than 8 terms in coordinate order, so those are summed column
+    by column, at a fraction of the reduce's cost on short rows."""
     d = torus_diff(a, b)
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
+    sq = d * d
+    if sq.shape[-1] >= 8:
+        return np.sqrt(np.add.reduce(sq, axis=-1))
+    total = sq[..., 0]
+    for k in range(1, sq.shape[-1]):
+        total = total + sq[..., k]
+    return np.sqrt(total)
 
 
 class TorusMap:

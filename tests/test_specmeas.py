@@ -1,5 +1,7 @@
 """Covers, transition tables, orbit gluing, and weak-* measure distance."""
 
+import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -153,6 +155,68 @@ def test_cover_grid_radius_just_above_a_cell_width():
     assert build_cover(pts[::-1], 2.0 * r).size == 2
 
 
+def _expanded_candidates(items, queries, n):
+    """Pairs of the per-query 3^d expansion: each query's cell plus every
+    offset in product((0, 1, -1)) mod n, then that cell's items ascending."""
+    d = items.shape[1]
+    strides = n ** np.arange(d - 1, -1, -1)
+    offsets = list(itertools.product(np.unique(np.array([-1, 0, 1]) % n), repeat=d))
+    item_keys = np.floor(dyn.wrap(items) * n).astype(np.int64) @ strides
+    pairs = []
+    for q, cell in enumerate(np.floor(dyn.wrap(queries) * n).astype(np.int64)):
+        for offset in offsets:
+            key = ((cell + offset) % n) @ strides
+            pairs += [(q, int(it)) for it in np.flatnonzero(item_keys == key)]
+    return pairs
+
+
+@pytest.mark.parametrize("radius, n", [(0.6, 1), (0.4, 2), (0.3, 3), (0.07, 14)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_candidates_match_per_query_expansion(d, radius, n):
+    rng = np.random.default_rng([d, n])
+    items = rng.random((40, d)) * 1.4 - 0.2
+    items[:5] = np.arange(5)[:, None] / n            # on cell edges
+    items[5:10] = items[10:15]                        # duplicates
+    queries = np.vstack([rng.random((30, d)) * 1.4 - 0.2, items[:5], [[0.0] * d]])
+    grid = specmeas._Grid(items, radius)
+    assert grid.n == n
+    q, it = grid.candidates(queries)
+    pairs = list(zip(q.tolist(), it.tolist()))
+    assert pairs == _expanded_candidates(items, queries, n)
+    # with n <= 2 the offsets repeat cells mod n; each pair still comes once
+    assert len(set(pairs)) == len(pairs)
+    empty = grid.candidates(np.zeros((0, d)))
+    assert empty[0].size == 0 and empty[1].size == 0
+
+
+def test_cover_members_and_locate_of_no_points():
+    cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
+    t, b = cover.members(np.zeros((0, 2)))
+    assert t.shape == b.shape == (0,)
+    assert cover.locate(np.zeros((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cover_members_and_locate_reject_non_finite_points(bad):
+    cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
+    pts = np.array([[0.1, 0.2], [bad, 0.3]])
+    with pytest.raises(ValueError, match="points must be finite"):
+        cover.members(pts)
+    with pytest.raises(ValueError, match="points must be finite"):
+        cover.locate(pts)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2)])
+def test_cover_members_and_locate_reject_other_dimensions(shape):
+    cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
+    pts = np.full(shape, 0.25)
+    message = re.escape(f"points of shape {shape} for a cover of dimension 2")
+    with pytest.raises(DimensionMismatchError, match=message):
+        cover.members(pts)
+    with pytest.raises(DimensionMismatchError, match=message):
+        cover.locate(pts)
+
+
 def _cover_samples(case):
     """Several hundred to a few thousand samples, so greedy batches end at
     many places."""
@@ -263,7 +327,8 @@ def test_transition_blocks_match_brute_force(cat, data):
     horizon = min_n + data.draw(st.one_of(st.just(0), st.integers(0, 40)))
     budget = data.draw(st.integers(1, 3))
     seed = data.draw(st.integers(0, 2 ** 16))
-    rows = data.draw(st.sampled_from([1, 2, 3, 7, 10 ** 6]))
+    # 4, 5, 8, 9, 16, 17: chunk tails and boundaries of the running minimum
+    rows = data.draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 10 ** 6]))
     _check_blocked_table(system, cover, min_n, horizon, budget, seed, rows)
 
 
@@ -298,6 +363,39 @@ def test_transit_keys_at_the_int32_bound(horizon, dtype):
     orbit = dyn.orbit_points(_ROTATION, np.array([x0]), horizon)
     keys = specmeas._least_transit_keys(*cover.members(orbit), 2, 5, horizon)
     assert keys.dtype == dtype and keys.min() >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_running_min_matches_accumulate(data):
+    rows, m = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 60))
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    chunk = data.draw(st.sampled_from([1, 2, 5, specmeas._SCAN_ROWS]))
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    L = rng.integers(info.min, info.max, (rows, m), dtype=dtype, endpoint=True)
+    # sentinels at both extremes, over whole rows, columns and at random
+    L[rng.random((rows, m)) < data.draw(st.floats(0.0, 1.0))] = info.max
+    L[rng.random((rows, m)) < data.draw(st.floats(0.0, 0.1))] = info.min
+    L[rng.integers(0, rows)] = info.max
+    L[:, rng.integers(0, m)] = info.max
+    expected = np.minimum.accumulate(L, axis=0)
+    with mock.patch.object(specmeas, "_SCAN_ROWS", chunk):
+        specmeas._running_min(L)
+    assert L.dtype == dtype and np.array_equal(L, expected)
+
+
+def test_transition_times_rejects_another_dimension(p24):
+    cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
+    with pytest.raises(DimensionMismatchError, match="system of dimension 3 .*dimension 2"):
+        transition_times(p24, cover, 2, 50, 1)
+
+
+def test_glue_rejects_another_dimension(cat, p24):
+    cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
+    table = transition_times(cat, cover, 2, 100, 1)
+    with pytest.raises(DimensionMismatchError, match="system of dimension 3 .*dimension 2"):
+        glue_segments(p24, [(np.array([0.1, 0.2, 0.3]), 5)], cover, table)
 
 
 def test_fixed_point_self_transit(cat):
