@@ -273,8 +273,8 @@ def cmd_glue(opt, system):
         "residual": result.residual,
         "iterations": result.iterations,
         "z": [float(v) for v in result.z],
-        # worst distance from the solved cycle to each glued-in segment; the
-        # plan's chain alternates segments and connectors
+        # worst distance from the solved cycle to each glued-in segment, the
+        # chain's even pieces (see GluePlan)
         "deviations": [float(v) for v in
                        shadow.segment_deviations(result.points, plan.pseudo)[0][0::2]],
         "plan": plan.to_dict(),

@@ -327,7 +327,7 @@ def _newton_step(jac, factor, rhs, periodic):
     d = jac.shape[-1]
     p = len(rhs) // d
     if periodic:
-        ends = np.r_[0:d, p * d - d:p * d]  # the rows of E_0 and E_{p-1}
+        ends = np.array([*range(d), *range(p * d - d, p * d)])  # rows of E_0 and E_{p-1}
         b = np.zeros((p * d, 2 * d + 1), order="F")
         b[:, 0] = rhs
         b[ends, np.arange(1, 2 * d + 1)] = 1.0

@@ -111,14 +111,12 @@ class Cover:
     _grid: _Grid = field(init=False, repr=False)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        centers = _finite_rows(self.centers, "cover centers")
         radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
         if len(centers) != len(radii) or len(centers) == 0:
             raise ValueError("cover needs matching nonempty centers and radii")
-        if not np.isfinite(centers).all():
-            raise ValueError("cover centers must be finite")
         check_positive("mesh", self.mesh)
         if not np.all((radii > 0.0) & (radii <= self.mesh / 2.0)):
             raise ValueError("radii must lie in (0, mesh/2]")
@@ -134,7 +132,7 @@ class Cover:
 
     def locate(self, points):
         """Index of the first ball strictly containing each point, else -1."""
-        pts = self._points(points)
+        pts = _finite_rows(points, "points", self.dim)
         t, b = self.members(pts)
         out = np.full(len(pts), -1, dtype=np.int64)
         first = np.ones(len(t), dtype=bool)
@@ -144,22 +142,23 @@ class Cover:
 
     def members(self, points):
         """All (point index, ball index) membership pairs, point-major order."""
-        pts = self._points(points)
+        pts = _finite_rows(points, "points", self.dim)
         t, b = self._grid.candidates(pts)
         dist = dyn.torus_distance(pts.take(t, axis=0), self.centers.take(b, axis=0))
         # compress: a boolean index of this many entries costs several times more
         key = np.compress(dist < self.radii.take(b), t * self.size + b)
         return np.divmod(np.sort(key), self.size)
 
-    def _points(self, points):
-        """``points`` as a finite (count, d) float array."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points of shape {pts.shape} for a cover of dimension {self.dim}")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
-        return pts
+
+def _finite_rows(values, what, dim=None):
+    """``values`` as a float array of at least 2 axes, checked finite, and
+    (count, dim) when ``dim`` is given."""
+    pts = np.atleast_2d(np.asarray(values, dtype=float))
+    if dim is not None and (pts.ndim != 2 or pts.shape[1] != dim):
+        raise DimensionMismatchError(f"points of shape {pts.shape} for a cover of dimension {dim}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} must be finite")
+    return pts
 
 
 # Samples per batch of build_cover's greedy and candidate pairs per run of
@@ -184,12 +183,10 @@ def build_cover(samples, delta):
     uncovered.  So sparse samples take one run per batch, while a center
     with that many candidates is a run of its own, as one at a time.
     """
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    # a NaN is within no radius of any center, so it would stay uncovered
+    pts = _finite_rows(samples, "samples")
     if len(pts) == 0:
         raise ValueError("samples must be nonempty")
-    # a NaN is within no radius of any center, so it would stay uncovered
-    if not np.isfinite(pts).all():
-        raise ValueError("samples must be finite")
     pts = dyn.wrap(pts)
     check_positive("delta", delta)
     radius = delta / 2.0
@@ -241,15 +238,16 @@ class TransitionTable:
 
     @property
     def X1(self):
-        if not self.resolved.any():
-            raise ValueError("no resolved transitions")
-        return int(self.X[self.resolved].min())
+        return int(self._resolved_times().min())
 
     @property
     def X2(self):
+        return int(self._resolved_times().max())
+
+    def _resolved_times(self):
         if not self.resolved.any():
             raise ValueError("no resolved transitions")
-        return int(self.X[self.resolved].max())
+        return self.X[self.resolved]
 
 
 # Entries of one block of the last-visit table; a block holds
@@ -329,10 +327,11 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
     times u = s - min_n, built one block of rows at a time with the last
     row carried to the next block.  Before its first visit L_j holds the
     sentinel -(horizon + 1), scaled (horizon + 1)^2, so such a candidate
-    has transit > horizon and never beats the initial key.  A block's
-    candidates are formed in place on its gathered rows and folded into
-    key[i] in rounds, the r-th hit of every ball in round r, so no index
-    repeats within a round.
+    has transit > horizon and never beats the initial key.  Once the last
+    row is carried, row u of a block gets s * (horizon + 2) added once, so
+    its gathered rows are the candidates, folded into key[i] in rounds,
+    the r-th hit of every ball in round r, so no index repeats within a
+    round.
 
     Keys and the table are int32 whenever the largest key fits, else int64.
     That key, s * (horizon + 2) + (horizon + 1)^2 at s = horizon, is
@@ -355,6 +354,7 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
         np.minimum(L[0], last, out=L[0])
         _running_min(L)
         last = L[-1].copy()
+        L += (np.arange(u0 + min_n, u1 + min_n) * span).astype(dtype)[:, None]
 
         a, b = np.searchsorted(t_mem, [u0 + min_n, u1 + min_n])
         s, i = t_mem[a:b], b_mem[a:b]
@@ -362,10 +362,9 @@ def _least_transit_keys(t_mem, b_mem, m, min_n, horizon):
         sorted_i = i[by_ball]
         rank = np.arange(len(i)) - np.searchsorted(sorted_i, sorted_i)
         order = by_ball[np.argsort(rank, kind="stable")]
-        bounds = np.cumsum(np.r_[0, np.bincount(rank)]).tolist()
+        bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
         s, i = s[order], i[order]
         cand = L[s - (u0 + min_n)]
-        cand += (s * span).astype(dtype)[:, None]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rnd, balls = cand[lo:hi], i[lo:hi]
             np.minimum(rnd, key[balls], out=rnd)
@@ -397,31 +396,23 @@ def _running_min(L):
 class GluePlan:
     """Cyclic splice of orbit segments and transit connectors.
 
-    The assembled pseudo-orbit alternates segment i with the connector
-    realizing the recorded transit from segment i's end ball to segment
-    i+1's start ball; c_times[i] is the chain time after segment i+1 and
-    its connector.
+    ``pseudo``'s chain alternates segment i with the connector realizing
+    the recorded transit from segment i's end ball to segment i+1's start
+    ball (cyclically): chain[0::2] are the segments, chain[1::2] the
+    connectors, and the plan's record is read from them.
     """
 
-    segments: tuple
-    connectors: tuple
     pseudo: PseudoOrbit
-    period: int
-    c_times: tuple
-    delta: float
 
     def to_dict(self):
+        chain, steps = self.pseudo.segments, self.pseudo.n_list
         return {
-            "period": self.period,
-            "delta": self.delta,
-            "c_times": list(self.c_times),
-            "segments": [
-                {"x": [float(v) for v in x], "n": int(n)} for x, n in self.segments
-            ],
-            "connectors": [
-                {"y": [float(v) for v in y], "transit": int(t)}
-                for y, t in self.connectors
-            ],
+            "period": self.pseudo.total_length,
+            "delta": self.pseudo.delta,
+            # chain time after segment i and its connector
+            "c_times": np.cumsum(np.add(steps[0::2], steps[1::2])).tolist(),
+            "segments": [{"x": x[0].tolist(), "n": len(x) - 1} for x in chain[0::2]],
+            "connectors": [{"y": y[0].tolist(), "transit": len(y) - 1} for y in chain[1::2]],
         }
 
 
@@ -436,42 +427,22 @@ def glue_segments(system, segments, cover, table):
     if not segments:
         raise ValueError("need at least one segment")
     _check_dimension(system, cover)
-    seg_data = []
-    for x, n in segments:
+    for _, n in segments:
         if n < 1:
             raise ValueError(f"segment length must be >= 1, got {n}")
-        pts = dyn.orbit_points(system, np.asarray(x, dtype=float), int(n))
-        b0, b1 = cover.locate(np.array([pts[0], pts[-1]]))
+    pieces = [dyn.orbit_points(system, np.asarray(x, dtype=float), int(n)) for x, n in segments]
+    balls = cover.locate([p[k] for p in pieces for k in (0, -1)]).reshape(-1, 2)
+    for b0, b1 in balls:
         if b0 < 0 or b1 < 0:
-            raise ValueError(
-                f"segment endpoint not covered (start ball {b0}, end ball {b1})")
-        seg_data.append((pts, int(b0), int(b1)))
-
-    connectors = []
+            raise ValueError(f"segment endpoint not covered (start ball {b0}, end ball {b1})")
     chain = []
-    for i, (pts, _, b_end) in enumerate(seg_data):
-        b_next = seg_data[(i + 1) % len(seg_data)][1]
+    for pts, b_end, b_next in zip(pieces, balls[:, 1], np.roll(balls[:, 0], -1)):
         transit = int(table.X[b_next, b_end])
         if transit < 0:
             raise UnresolvedTransitionError(
                 f"transit from ball {b_end} to ball {b_next} unresolved")
-        y = table.witnesses[b_next, b_end]
-        conn = dyn.orbit_points(system, y, transit)
-        connectors.append((y, transit))
-        chain.extend([pts, conn])
-
-    pseudo = PseudoOrbit(segments=tuple(chain), periodic=True, delta=cover.mesh)
-    n_list = [n for _, n in segments]
-    x_list = [t for _, t in connectors]
-    c_times = np.cumsum([n + t for n, t in zip(n_list, x_list)])
-    return GluePlan(
-        segments=tuple((pts[0], len(pts) - 1) for pts, _, _ in seg_data),
-        connectors=tuple(connectors),
-        pseudo=pseudo,
-        period=int(c_times[-1]),
-        c_times=tuple(int(c) for c in c_times),
-        delta=cover.mesh,
-    )
+        chain += [pts, dyn.orbit_points(system, table.witnesses[b_next, b_end], transit)]
+    return GluePlan(PseudoOrbit(segments=tuple(chain), periodic=True, delta=cover.mesh))
 
 
 def specification_shadow(system, plan, tol=1e-12):
@@ -487,11 +458,9 @@ class EmpiricalMeasure:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = _finite_rows(self.points, "support points")
         if len(pts) == 0:
             raise ValueError("measure needs at least one support point")
-        if not np.isfinite(pts).all():
-            raise ValueError("support points must be finite")
         pts = dyn.wrap(pts)
         object.__setattr__(self, "points", pts)
         if self.weights is None:

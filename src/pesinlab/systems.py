@@ -430,10 +430,12 @@ class CompositeMap(TorusMap):
         return self._run(self._jacobian, pts).reshape(pts.shape[:-1] + (self.dim, self.dim))
 
     def _run(self, code, pts):
-        """The compiled formulas ``code`` at ``pts``, stacked on a last axis."""
+        """The compiled formulas ``code`` at ``pts``, on a last axis; a constant broadcasts."""
         xs = [pts[..., i] for i in range(self.dim)]
-        return np.stack([np.broadcast_to(np.asarray(f(xs), dtype=float), pts.shape[:-1])
-                         for f in code], axis=-1)
+        out = np.empty(pts.shape[:-1] + (len(code),))
+        for k, f in enumerate(code):
+            out[..., k] = f(xs)
+        return out
 
 
 def _entries(key, value, dim):

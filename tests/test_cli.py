@@ -228,10 +228,12 @@ def test_close_command(capsys):
     assert main(["close", "--n", "9"]) == 2  # --point missing
 
 
+_GLUE_ARGV = ["glue", "--mesh", "0.2", "--segments", "2", "--len-min", "10", "--len-max", "15",
+              "--cover-samples", "2000", "--horizon", "5000", "--budget", "4", "--seed", "0"]
+
+
 def test_glue_command(capsys):
-    rc = main(["glue", "--mesh", "0.2", "--segments", "2", "--len-min", "10",
-               "--len-max", "15", "--cover-samples", "2000",
-               "--horizon", "5000", "--budget", "4", "--seed", "0"])
+    rc = main(_GLUE_ARGV)
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["within_bounds"] is True
@@ -240,6 +242,27 @@ def test_glue_command(capsys):
     assert rec["residual"] < 1e-12
     assert max(rec["deviations"]) < 0.2
     assert len(rec["plan"]["segments"]) == 2
+
+
+# `glue`'s whole record of _GLUE_ARGV, byte for byte: the plan's part is
+# read from its glued chain
+_GLUE_RECORD = (
+    '{"deviations": [0.038819125949727147, 0.15885162851253726], '
+    '"epsilon_achieved": 0.15885162851253726, "iterations": 1, "period": 33, '
+    '"period_bounds": [33, 33], "plan": {"c_times": [15, 33], '
+    '"connectors": [{"transit": 4, "y": [0.65600393355858921, 0.17663244675487499]}, '
+    '{"transit": 4, "y": [0.56565291794164052, 0.26073354904344104]}], '
+    '"delta": 0.20000000000000001, "period": 33, "segments": [{"n": 11, '
+    '"x": [0.63696168732145431, 0.26978671376387031]}, {"n": 14, '
+    '"x": [0.040973523936194689, 0.016527635528529094]}]}, '
+    '"residual": 2.2204460492503131e-16, "within_bounds": true, '
+    '"z": [0.65736951599731819, 0.23676482604924429]}\n'
+)
+
+
+def test_glue_command_record_is_byte_identical(capsys):
+    assert main(_GLUE_ARGV) == 0
+    assert capsys.readouterr().out == _GLUE_RECORD
 
 
 def test_measure_command(capsys):

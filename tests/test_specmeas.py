@@ -1,6 +1,8 @@
 """Covers, transition tables, orbit gluing, and weak-* measure distance."""
 
+import dataclasses
 import itertools
+import json
 import re
 from unittest import mock
 
@@ -443,16 +445,54 @@ def test_glue_and_specification_shadow(cat):
     table = transition_times(cat, cov, 4, 10000, 2, seed=7)
     segs = [(rng.random(2), 20), (rng.random(2), 25)]
     plan = glue_segments(cat, segs, cov, table)
-    transits = [t for _, t in plan.connectors]
-    assert plan.period == 45 + sum(transits)
-    assert 45 + 2 * table.X1 <= plan.period <= 45 + 2 * table.X2
-    assert plan.c_times[-1] == plan.period
+    rec = plan.to_dict()
+    transits = [c["transit"] for c in rec["connectors"]]
+    assert len(transits) == 2 and rec["period"] == 45 + sum(transits)
+    assert 45 + 2 * table.X1 <= rec["period"] <= 45 + 2 * table.X2
+    assert rec["c_times"][-1] == rec["period"] == plan.pseudo.total_length
     assert plan.pseudo.periodic and plan.pseudo.delta == cov.mesh
     assert max(plan.pseudo.gaps) < cov.mesh
     res = specification_shadow(cat, plan)
-    assert res.period == plan.period and res.residual < 1e-12
-    d = plan.to_dict()
-    assert d["period"] == plan.period and len(d["connectors"]) == 2
+    assert res.period == rec["period"] and res.residual < 1e-12
+
+
+@pytest.mark.parametrize("name, mesh, lengths", [
+    ("cat", 0.25, [20, 25]),
+    ("cat", 0.2, [1, 7, 30]),
+    ("cat", 0.3, [12]),
+    ("product24", 0.5, [10, 15, 5]),
+    ("product24", 0.3, [40, 3]),
+])
+def test_glue_plan_record_reads_its_chain(name, mesh, lengths):
+    # a plan is its pseudo-orbit: segment i, then the connector from its end
+    # ball to the next segment's start ball, found with one locate call
+    system = dyn.make_system(name)
+    # segments and cover from one orbit past its first 300 steps, a region
+    # product24's sample orbits keep returning to
+    rng = np.random.default_rng([len(lengths), 5])
+    orbit = dyn.orbit_points(system, rng.random(system.dim), 3000)
+    segs = [(orbit[500 + 400 * k], n) for k, n in enumerate(lengths)]
+    cov = build_cover(orbit[300:], mesh)
+    table = transition_times(system, cov, 2, 3000, 2, seed=1)
+    with mock.patch.object(Cover, "locate", autospec=True, side_effect=Cover.locate) as locate:
+        plan = glue_segments(system, segs, cov, table)
+    assert locate.call_count == 1
+    assert [f.name for f in dataclasses.fields(plan)] == ["pseudo"]
+    rec, chain = plan.to_dict(), plan.pseudo.segments
+    assert len(chain) == 2 * len(segs) and plan.pseudo.periodic
+    assert rec["delta"] == plan.pseudo.delta == mesh
+    assert rec["c_times"][-1] == rec["period"] == plan.pseudo.total_length
+    assert rec["c_times"] == np.cumsum([s["n"] + c["transit"] for s, c in
+                                        zip(rec["segments"], rec["connectors"])]).tolist()
+    for k, (x, n) in enumerate(segs):
+        seg, conn = chain[2 * k], chain[2 * k + 1]
+        assert rec["segments"][k] == {"x": seg[0].tolist(), "n": len(seg) - 1}
+        assert rec["connectors"][k] == {"y": conn[0].tolist(), "transit": len(conn) - 1}
+        assert np.array_equal(seg, dyn.orbit_points(system, x, n))
+        end, nxt = cov.locate([seg[-1], chain[(2 * k + 2) % len(chain)][0]])
+        assert rec["connectors"][k]["transit"] == table.X[nxt, end]
+        assert np.array_equal(conn[0], table.witnesses[nxt, end])
+    assert json.loads(json.dumps(rec)) == rec  # plain values: json rejects numpy ints
 
 
 def test_glue_rejects_uncovered_endpoint(cat):
@@ -464,6 +504,9 @@ def test_glue_rejects_uncovered_endpoint(cat):
         glue_segments(cat, [], cov, table)
     with pytest.raises(ValueError):
         glue_segments(cat, [(np.array([0.0, 0.0]), 0)], cov, table)
+    # every length is checked before any orbit or lookup
+    with pytest.raises(ValueError, match="segment length must be >= 1, got 0"):
+        glue_segments(cat, [(np.array([0.5, 0.5]), 5), (np.array([0.0, 0.0]), 0)], cov, table)
 
 
 def test_weak_star_grid_anchors():
