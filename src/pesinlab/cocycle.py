@@ -13,6 +13,7 @@ side cannot underflow, and no derivative is ever inverted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -386,16 +387,31 @@ def _qr_logs(prods):
     return logs
 
 
-def _qr_logs_2d(prods):
-    """:func:`_qr_logs` for 2x2 factors, in plain floats.
+def _qr_logs_2d(prods, n):
+    """:func:`_qr_logs` for n 2x2 factors, in plain floats: ``prods`` holds
+    all n, or one product taken n times.
 
     The first column of q_i is P_i q_{i-1} e_1 normalised, with |R_11| its
     length; q_i can be taken to be a rotation, so |R_11 R_22| = |det P_i|.
     For 2x2 factors the call overhead of np.linalg.qr dominates its work.
+
+    With one product the step maps the state (u0, u1) alone to its logs and
+    the next state, so once a state repeats the logs repeat with the cycle's
+    period: the loop stops there and tiles the cycle over the remaining
+    steps, which gives the full loop's logs element for element.  States
+    that differ only in the sign of a zero (equal as dict keys) have the
+    same logs, and their successors again differ at most so.
     """
     u0, u1 = 1.0, 0.0
-    logs = []
-    for (p00, p01), (p10, p11) in prods.tolist():
+    logs, first = [], {}
+    one = len(prods) == 1
+    steps = itertools.repeat(prods[0].tolist(), n) if one else prods.tolist()
+    for (p00, p01), (p10, p11) in steps:
+        if one:
+            i = first.setdefault((u0, u1), len(logs))
+            if i < len(logs):
+                done = np.array(logs)
+                return np.concatenate((done[:i], np.resize(done[i:], (n - i, 2))))
         a = p00 * u0 + p01 * u1
         c = p10 * u0 + p11 * u1
         r11 = math.hypot(a, c)
@@ -415,7 +431,8 @@ def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
     R-diagonals telescope to the same product), and the first 10% of the
     chunks are discarded as burn-in so the frame can align before averaging.
     A factor with a constant Jacobian is never orbited: its chunks share one
-    product.  A 1-D factor needs no QR, a 2-D one takes plain-float steps.
+    product.  A 1-D factor needs no QR, a 2-D one takes plain-float steps,
+    and with one shared product they stop at the first repeated frame.
     """
     if horizon < 10:
         raise ValueError(f"horizon too short for a spectrum: {horizon}")
@@ -436,11 +453,14 @@ def lyapunov_spectrum(system, x, horizon, chunk=8, merge_tol=1e-4):
         prods = jac[:, 0].copy()
         for t in range(1, chunk):
             prods = jac[:, t] @ prods
-        prods = np.broadcast_to(prods, (n_chunks, d, d))
-        if d == 1 and prods.all():   # a zero product raises in _qr_logs
-            logs = np.log(np.abs(prods[:, 0]))
+        if d == 2:
+            logs = _qr_logs_2d(prods, n_chunks)
         else:
-            logs = _qr_logs_2d(prods) if d == 2 else _qr_logs(prods)
+            prods = np.broadcast_to(prods, (n_chunks, d, d))
+            if d == 1 and prods.all():   # a zero product raises in _qr_logs
+                logs = np.log(np.abs(prods[:, 0]))
+            else:
+                logs = _qr_logs(prods)
         values.extend(logs[burn:].sum(axis=0) / ((n_chunks - burn) * chunk))
     values = np.sort(values)
     groups = np.split(values, np.flatnonzero(~(np.diff(values) <= merge_tol)) + 1)

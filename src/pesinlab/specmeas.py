@@ -115,7 +115,7 @@ class Cover:
         radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
-        if len(centers) != len(radii) or len(centers) == 0:
+        if len(centers) != len(radii) or centers.size == 0:
             raise ValueError("cover needs matching nonempty centers and radii")
         check_positive("mesh", self.mesh)
         if not np.all((radii > 0.0) & (radii <= self.mesh / 2.0)):
@@ -185,7 +185,7 @@ def build_cover(samples, delta):
     """
     # a NaN is within no radius of any center, so it would stay uncovered
     pts = _finite_rows(samples, "samples")
-    if len(pts) == 0:
+    if pts.size == 0:   # [] is one row of no coordinates
         raise ValueError("samples must be nonempty")
     pts = dyn.wrap(pts)
     check_positive("delta", delta)
@@ -459,7 +459,7 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         pts = _finite_rows(self.points, "support points")
-        if len(pts) == 0:
+        if pts.size == 0:
             raise ValueError("measure needs at least one support point")
         pts = dyn.wrap(pts)
         object.__setattr__(self, "points", pts)

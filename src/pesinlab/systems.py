@@ -132,13 +132,27 @@ _G_TABLE_Y = g_map_lift(_G_TABLE_X)
 
 def _g_orbit1(x, n):
     """[x, g(x), ..., g^n(x)] for one float: g_map's step, wrap included,
-    as one loop of plain-float operations in the same order."""
+    as one loop of plain-float operations in the same order.
+
+    The loop stops at the first step that returns its input, and repeats
+    that point for the remaining steps.  The step reads x only through
+    x % 1.0, which is the same +0.0 for 0.0 and -0.0, so a point equal to
+    the previous one under float == steps to itself from then on.  In floats
+    every orbit lands on such a fixed point (0, 5e-324 and 1/2 among them)
+    within about 1,100 steps, so a longer orbit costs no more than that.
+    """
     xs, sin, two_pi = [x], math.sin, 2.0 * math.pi
-    for _ in range(n):
-        x %= 1.0
-        t = two_pi * x
-        x = (x + _G_C1 * sin(t) + _G_C2 * sin(2.0 * t)) % 1.0
-        xs.append(0.0 if x == 1.0 else x)
+    for k in range(n):
+        r = x % 1.0
+        t = two_pi * r
+        y = (r + _G_C1 * sin(t) + _G_C2 * sin(2.0 * t)) % 1.0
+        if y == 1.0:
+            y = 0.0
+        if y == x:
+            xs.extend([y] * (n - k))
+            return xs
+        xs.append(y)
+        x = y
     return xs
 
 
@@ -329,6 +343,9 @@ _FORMULA_FUNCS = {
     "sqrt": np.sqrt, "abs": np.abs, "mod": np.mod, "floor": np.floor,
     "where": np.where,
 }
+# Arguments each function takes, 1 if not listed: numpy would read an extra
+# argument as ``out`` and write into the caller's coordinates.
+_FORMULA_ARITY = {"mod": 2, "where": 3}
 _FORMULA_CONSTS = {"pi": np.float64(np.pi)}
 _FORMULA_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -344,8 +361,9 @@ def _compile_formula(text, dim):
     """Compile one config formula into a function of the coordinate list.
 
     Only numeric constants, ``pi``, the coordinates x0..x{dim-1}, arithmetic,
-    unary and single comparison operators and calls of ``_FORMULA_FUNCS`` are
-    accepted; anything else (attributes, subscripts, lambdas, other names)
+    unary and single comparison operators and calls of ``_FORMULA_FUNCS``
+    with their ``_FORMULA_ARITY`` positional arguments are accepted; anything
+    else (attributes, subscripts, lambdas, other names, other argument counts)
     raises ValueError, so a config file cannot reach arbitrary code.
     """
     coords = {f"x{i}": i for i in range(dim)}
@@ -374,7 +392,12 @@ def _compile_formula(text, dim):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _FORMULA_FUNCS and not node.keywords
                 and not any(isinstance(a, ast.Starred) for a in node.args)):
-            fn, args = _FORMULA_FUNCS[node.func.id], [build(a) for a in node.args]
+            name, args = node.func.id, [build(a) for a in node.args]
+            arity = _FORMULA_ARITY.get(name, 1)
+            if len(args) != arity:
+                raise ValueError(f"formula {text!r}: {name} takes {arity} "
+                                 f"argument{'s' * (arity > 1)}, got {len(args)}")
+            fn = _FORMULA_FUNCS[name]
             return lambda xs: fn(*(a(xs) for a in args))
         what = (node.id if isinstance(node, ast.Name)
                 else f"call of {ast.unparse(node.func)}" if isinstance(node, ast.Call)

@@ -422,6 +422,66 @@ def test_factor_spectra_match_whole_map_qr(p24, start, horizon):
     assert np.abs(np.array(spec.values) - want).max() <= 1e-8
 
 
+@pytest.fixture
+def qr_steps(monkeypatch):
+    """A list that gets one entry per QR step _qr_logs_2d computes."""
+    steps = []
+
+    def hypot(a, c):
+        steps.append(None)
+        return math.hypot(a, c)
+
+    monkeypatch.setattr(cocycle, "math", SimpleNamespace(hypot=hypot, log=math.log))
+    return steps
+
+
+def _same_logs(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("prod", [
+    *(np.linalg.matrix_power(dyn.CAT_MATRIX, chunk) for chunk in range(1, 17)),
+    np.array([[0.0, 2.0], [3.0, 0.0]]),   # frames and logs of period 2
+], ids=[*(f"cat-chunk-{chunk}" for chunk in range(1, 17)), "swap"])
+def test_constant_product_logs_tile_their_cycle(qr_steps, prod):
+    # one product taken n times stops at its first repeated frame and tiles
+    # the cycle; the full loop over n copies of it is the reference.  The
+    # cat map's frames repeat within 20 steps at every chunk up to 16.
+    for n in (1, 2, 3, 4, 5, 7, 8, 19, 20, 21, 100, 1_001, 12_500, 20_000):
+        want = cocycle._qr_logs_2d(np.broadcast_to(prod, (n, 2, 2)), n)
+        assert len(qr_steps) == n
+        qr_steps.clear()
+        assert _same_logs(cocycle._qr_logs_2d(prod[None], n), want)
+        assert len(qr_steps) <= min(n, 20)
+        qr_steps.clear()
+
+
+def test_constant_product_without_a_repeated_frame_runs_every_step(qr_steps):
+    # twice a rotation by an irrational angle: no frame repeats in floats
+    theta = 2.0 * math.pi * (math.sqrt(2.0) - 1.0)
+    prod = 2.0 * np.array([[math.cos(theta), -math.sin(theta)],
+                           [math.sin(theta), math.cos(theta)]])
+    want = cocycle._qr_logs_2d(np.broadcast_to(prod, (5_000, 2, 2)), 5_000)
+    qr_steps.clear()
+    assert _same_logs(cocycle._qr_logs_2d(prod[None], 5_000), want)
+    assert len(qr_steps) == 5_000
+    assert np.abs(want - math.log(2.0)).max() < 1e-15
+
+
+class _SingularCat(dyn.CatMap):
+    constant_jacobian = np.array([[1.0, 2.0], [2.0, 4.0]])
+
+    def jacobian_many(self, pts):
+        return np.broadcast_to(self.constant_jacobian, np.shape(pts)[:-1] + (2, 2)).copy()
+
+
+def test_singular_constant_product_raises():
+    with pytest.raises(SingularRestrictionError, match="became singular"):
+        cocycle._qr_logs_2d(_SingularCat.constant_jacobian[None], 1_000)
+    with pytest.raises(SingularRestrictionError, match="became singular"):
+        lyapunov_spectrum(_SingularCat(), np.array([0.1, 0.2]), 1_000)
+
+
 def test_cat_factor_is_never_iterated(monkeypatch, cat, p24, p24_split):
     # the cat map's Jacobian is one matrix, so no certificate or spectrum
     # orbits it, forward or backward

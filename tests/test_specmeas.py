@@ -191,6 +191,18 @@ def test_grid_candidates_match_per_query_expansion(d, radius, n):
     assert empty[0].size == 0 and empty[1].size == 0
 
 
+@pytest.mark.parametrize("empty", [[], [[]], np.zeros((0, 2)), np.zeros((3, 0))])
+def test_no_points_is_bad_input(empty):
+    # np.atleast_2d([]) is one row of no coordinates: build_cover divided by
+    # the dimension 0, and a measure took it for one point of dimension 0
+    with pytest.raises(ValueError, match="samples must be nonempty"):
+        build_cover(empty, 0.1)
+    with pytest.raises(ValueError, match="measure needs at least one support point"):
+        EmpiricalMeasure(points=empty)
+    with pytest.raises(ValueError, match="matching nonempty centers and radii"):
+        Cover(centers=empty, radii=[0.05] * len(empty), mesh=0.1)
+
+
 def test_cover_members_and_locate_of_no_points():
     cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
     t, b = cover.members(np.zeros((0, 2)))

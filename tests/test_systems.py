@@ -179,6 +179,43 @@ def test_scalar_circle_functions_match_arrays(y):
     assert dyn._g_orbit1(y, 1)[1] == dyn.g_map(np.array([y]))[0]
 
 
+def _g_orbit_by_steps(x, n):
+    """Oracle: [x, g(x), ..., g^n(x)] by n calls of g_map."""
+    xs, y = [x], np.array([x])
+    for _ in range(n):
+        y = dyn.g_map(y)
+        xs.append(y[0])
+    return np.array(xs)
+
+
+# The slowest float orbits: from just below 1/2 an orbit reaches 5e-324
+# after 1,110 steps, from just above 1/2 it reaches 0 after 87.
+_ORBIT_STARTS = [0.0, -0.0, 0.5, 5e-324, 1.0 - 2.0 ** -53, float(np.nextafter(0.5, 0.0)),
+                 float(np.nextafter(0.5, 1.0)), 0.5 - 1e-9, 0.5 + 1e-9]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(_ORBIT_STARTS), _coord),
+       st.one_of(st.integers(0, 60), st.integers(1_000, 1_200)))
+def test_circle_orbit_stopped_at_its_fixed_point_matches_step_loop(x, n):
+    # _g_orbit1 stops at the first step that returns its input and repeats
+    # it; the per-step loop runs every step, sign bits included
+    assert _same_bits(np.array(dyn._g_orbit1(x, n)), _g_orbit_by_steps(x, n))
+
+
+def test_circle_orbits_reach_a_fixed_point():
+    # the stop _g_orbit1 relies on for its speed: every start lands on a
+    # float fixed point of g within 1,200 steps; from the edge starts the
+    # stopped orbit is the step loop's at every length
+    for x in _ORBIT_STARTS:
+        for n in (1, 2, 1_200):
+            assert _same_bits(np.array(dyn._g_orbit1(x, n)), _g_orbit_by_steps(x, n)), (x, n)
+    starts = _ORBIT_STARTS + np.random.default_rng(32).random(200).tolist()
+    for x in starts:
+        xs = dyn._g_orbit1(x, 1_200)
+        assert xs[-1] == xs[-2] == dyn.g_map(np.array([xs[-1]]))[0], x
+
+
 @given(_coord)
 def test_g_inverse_is_a_right_inverse(y):
     back = dyn.g_map(dyn.g_inverse(np.array([y])))
@@ -452,6 +489,58 @@ def test_composite_formula_whitelist(formula, tmp_path, monkeypatch):
         dyn.make_system({"kind": "composite", "dim": 2, "map": [formula, "x1"],
                          "jacobian": [["1", "0"], ["0", "1"]]})
     assert not any(tmp_path.iterdir())
+
+
+# Arguments each formula function takes; numpy reads one more as ``out``.
+_FORMULA_ARITY = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1,
+                  "abs": 1, "floor": 1, "mod": 2, "where": 3}
+_IDENTITY_SPEC = {"kind": "composite", "dim": 2, "map": ["x0", "x1"],
+                     "inverse": ["x0", "x1"], "jacobian": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("name", sorted(_FORMULA_ARITY))
+def test_composite_formula_calls_take_their_arity(name):
+    # sin(x0, x1) used to build, and its step wrote sin(x0) into the
+    # caller's column x1
+    assert set(_FORMULA_ARITY) == set(dyn._FORMULA_FUNCS)
+    arity = _FORMULA_ARITY[name]
+    for count in (arity - 1, arity + 1):
+        formula = f"{name}({', '.join(['x0'] * count)})"
+        with pytest.raises(ValueError, match=re.escape(f"formula {formula!r}: {name} takes")):
+            dyn.make_system({**_IDENTITY_SPEC, "map": [formula, "x1"]})
+
+
+def _formula_call(data, count=None):
+    """A formula calling one function with ``count`` arguments (its arity if
+    None), and whether that count is the arity."""
+    name = data.draw(st.sampled_from(sorted(_FORMULA_ARITY)))
+    count = _FORMULA_ARITY[name] if count is None else count
+    args = data.draw(st.lists(st.sampled_from(["x0", "x1", "0.5", "x0 - x1", "x1 < 0.5"]),
+                              min_size=count, max_size=count))
+    return f"{name}({', '.join(args)}) + x1", count == _FORMULA_ARITY[name]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_composite_kernels_leave_their_input_alone(data):
+    # the first map formula takes any number of arguments: it must be
+    # rejected at build time unless that is its function's arity
+    first, valid = _formula_call(data, data.draw(st.integers(0, 4)))
+    spec = {**_IDENTITY_SPEC,
+            "map": [first, _formula_call(data)[0]],
+            "inverse": [_formula_call(data)[0], "x0"],
+            "jacobian": [[_formula_call(data)[0], "0"], ["1", _formula_call(data)[0]]]}
+    if not valid:
+        with pytest.raises(ValueError, match=re.escape(f"formula {first!r}")):
+            dyn.make_system(spec)
+        return
+    m = dyn.make_system(spec)
+    pts = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 4), st.just(2)), elements=_unit))
+    before = pts.copy()
+    with np.errstate(all="ignore"):
+        for kernel in (m.step_many, m.inverse_many, m.jacobian_many):
+            kernel(pts)
+            assert _same_bits(pts, before)
 
 
 def test_splitting_validation():
