@@ -10,9 +10,11 @@ L delta = -r as delta = L^T (L L^T)^{-1} (-r): the exact solution when L is
 square (a cycle), the minimum-norm one when it is one block short (an open
 window).  An open window's L L^T is block tridiagonal and positive
 definite, and a cycle's adds one wrap term of rank 2d, so one banded
-Cholesky factor serves both.  A product solves each factor map's band on
-its own, and a map with a constant Jacobian keeps one factor for all its
-windows.
+Cholesky factor serves both, with Woodbury terms for the wrap.  A product
+solves each factor map's band on its own, and a map with a constant
+Jacobian keeps one factor for all its windows and the Woodbury terms of
+its last cycle length, 2d x p*d floats each, so a step of a repeated
+cycle solves one right-hand side.
 """
 
 from __future__ import annotations
@@ -278,6 +280,7 @@ def _normal_band(jac):
 
 
 _CONSTANT_FACTORS = {}   # constant Jacobian's bytes -> factor of its longest open window
+_CONSTANT_CYCLES = {}    # constant Jacobian's bytes -> (p, Woodbury terms) of its last cycle
 
 
 def _band_factor(band):
@@ -310,34 +313,68 @@ def _constant_factor(a, p):
     return factor[:, :p * d]
 
 
-def _newton_step(jac, factor, rhs, periodic):
+def _constant_cycle(a, p):
+    """Woodbury terms (:func:`_wrap_terms`) of the p-step cycle of the
+    constant Jacobian a.
+
+    They depend on a and p only, so one cycle length per matrix is kept,
+    the last one solved: 2d x p*d floats for X, no more than its factor
+    holds.  A stored tuple is never written to, so racing threads at worst
+    form the terms twice.
+    """
+    key = a.tobytes()
+    kept = _CONSTANT_CYCLES.get(key)
+    if kept is None or kept[0] != p:
+        kept = (p, _wrap_terms(a, _constant_factor(a, p)))
+        _CONSTANT_CYCLES[key] = kept
+    return kept[1]
+
+
+def _wrap_terms(a0, factor):
+    """Woodbury terms (ends, C, X, W) of a cycle's wrap blocks, -a0 at
+    (0, p-1) and -a0^T at (p-1, 0), for the open band's factor.
+
+    The wrap term is U C U^T with U = [E_0, E_{p-1}], the 2d unit columns
+    at rows ``ends``, and C = [[0, -a0], [-a0^T, 0]]; X = T^{-1} U comes
+    from one pbtrs solve and W = I + C X[ends] is 2d x 2d.
+    """
+    from scipy.linalg.lapack import dpbtrs  # scipy's import time
+
+    d, n = len(a0), factor.shape[1]
+    ends = np.array([*range(d), *range(n - d, n)])  # rows of E_0 and E_{p-1}
+    u = np.zeros((n, 2 * d), order="F")
+    u[ends, np.arange(2 * d)] = 1.0
+    x, _ = dpbtrs(factor, u, overwrite_b=True)
+    c = np.zeros((2 * d, 2 * d))
+    c[:d, d:], c[d:, :d] = -a0, -a0.T
+    return ends, c, x, np.eye(2 * d) + c @ x[ends]
+
+
+def _newton_step(jac, factor, rhs, periodic, wrap=None):
     """Solution delta = L^T y, (L L^T) y = rhs, of L delta = rhs, one row per
     chain point: exact for a cycle, minimum-norm for an open window.
 
     ``jac`` stacks the p Jacobians A_j, or just one when they are all the
     same; ``factor`` is the open band's Cholesky factor (:func:`_band_factor`).
-    A cycle's L L^T is the open band plus the wrap blocks -A_0 at (0, p-1)
-    and -A_0^T at (p-1, 0), i.e. U C U^T with U = [E_0, E_{p-1}] and
-    C = [[0, -A_0], [-A_0^T, 0]]; Woodbury folds them into the band's
-    factor: y = x - X (I + C U^T X)^{-1} C U^T x, where the band solves
-    x = T^{-1} rhs and X = T^{-1} U.
+    A cycle's L L^T is the open band plus the wrap term U C U^T of
+    :func:`_wrap_terms`; Woodbury folds it into the band's factor:
+    y = x - X W^{-1} C x[ends], where the band solves x = T^{-1} rhs.  A
+    cycle's terms are ``wrap`` when given (a constant Jacobian's, kept by
+    :func:`_constant_cycle`) and formed here otherwise, so a step solves
+    one right-hand side beside them.  pbtrs solves column by column, so x
+    and X have the bits they have as columns of one (2d+1)-column solve,
+    and C x[ends] rounds each entry once, as C times those columns does,
+    when each row of C has one nonzero term (a circle's) or two exact
+    products (the cat map's C holds 0, -1 and -2).
     """
     from scipy.linalg.lapack import dpbtrs  # scipy's import time
 
     d = jac.shape[-1]
     p = len(rhs) // d
+    y, _ = dpbtrs(factor, rhs)
     if periodic:
-        ends = np.array([*range(d), *range(p * d - d, p * d)])  # rows of E_0 and E_{p-1}
-        b = np.zeros((p * d, 2 * d + 1), order="F")
-        b[:, 0] = rhs
-        b[ends, np.arange(1, 2 * d + 1)] = 1.0
-        x, _ = dpbtrs(factor, b, overwrite_b=True)
-        c = np.zeros((2 * d, 2 * d))
-        c[:d, d:], c[d:, :d] = -jac[0], -jac[0].T
-        cx = c @ x[ends]
-        y = x[:, 0] - x[:, 1:] @ np.linalg.solve(np.eye(2 * d) + cx[:, 1:], cx[:, 0])
-    else:
-        y, _ = dpbtrs(factor, rhs)
+        ends, c, x, w = _wrap_terms(jac[0], factor) if wrap is None else wrap
+        y = y - x @ np.linalg.solve(w, c @ y[ends])
     y = y.reshape(p, d)
     delta = np.zeros((p + (not periodic), d))
     delta[:p] = -np.einsum("jba,jb->ja", jac, y)
@@ -363,10 +400,11 @@ def _chain_step(system, z, rhs, periodic):
         a = m.constant_jacobian
         if a is None:
             jac = m.jacobian_many(z[:p, cols])
-            factor = _band_factor(_normal_band(jac))
+            factor, wrap = _band_factor(_normal_band(jac)), None
         else:
             jac, factor = a[None], _constant_factor(a, p)
-        steps.append(_newton_step(jac, factor, rhs[:, cols].ravel(), periodic))
+            wrap = _constant_cycle(a, p) if periodic else None
+        steps.append(_newton_step(jac, factor, rhs[:, cols].ravel(), periodic, wrap))
     return np.concatenate(steps, axis=1)
 
 

@@ -152,8 +152,9 @@ class Cover:
 
 def _finite_rows(values, what, dim=None):
     """``values`` as a float array of at least 2 axes, checked finite, and
-    (count, dim) when ``dim`` is given."""
-    pts = np.atleast_2d(np.asarray(values, dtype=float))
+    (count, dim) when ``dim`` is given; there an empty list is no points."""
+    pts = np.asarray(values, dtype=float)
+    pts = pts.reshape(0, dim) if dim is not None and pts.shape == (0,) else np.atleast_2d(pts)
     if dim is not None and (pts.ndim != 2 or pts.shape[1] != dim):
         raise DimensionMismatchError(f"points of shape {pts.shape} for a cover of dimension {dim}")
     if not np.isfinite(pts).all():

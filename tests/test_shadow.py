@@ -343,20 +343,93 @@ def _bits(result):
             result.iterations)
 
 
+# cycle lengths that come back, with open windows between them; p = 1 and 2
+# put the rows of E_0 and E_{p-1} on or beside each other
+_INTERLEAVED = [([16], True), ([9, 4], False), ([3], True), ([6], True), ([40], False),
+                ([12], True), ([8, 8], True), ([1], True), ([2], True), ([5], False),
+                ([1], True), ([1, 1], True), ([2], True)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(windows=st.lists(st.tuples(st.lists(st.integers(1, 90), min_size=1, max_size=3),
-                                  st.booleans()), min_size=1, max_size=6),
+@given(windows=st.lists(st.tuples(st.one_of(st.lists(st.integers(1, 90), min_size=1,
+                                                     max_size=3),
+                                            st.sampled_from([[1], [2], [3], [16], [8, 8]])),
+                                  st.booleans()), min_size=1, max_size=8),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(windows=_INTERLEAVED, seed=0)
+@example(windows=[([1], True)], seed=1)
+@example(windows=[([2], True), ([1, 1], True)], seed=2)
 def test_cached_cat_factor_gives_the_cold_bits(cat, windows, seed):
     # the cat map's band factor is cached across calls and sliced for
-    # shorter windows; any sequence of open and periodic windows, growing
-    # and shrinking, solves to the bits of a solve from an empty cache
+    # shorter windows, and its last cycle's Woodbury terms are kept; any
+    # sequence of open and periodic windows, growing and shrinking, with
+    # cycle lengths that come back, solves to the bits of a solve from
+    # empty caches
     rng = np.random.default_rng(seed)
     pseudos = [_jumped_window(cat, rng, lengths, periodic) for lengths, periodic in windows]
     warm = [_bits(solve_shadow(cat, po)) for po in pseudos]
     for po, bits in zip(pseudos, warm):
         shadow._CONSTANT_FACTORS.clear()
+        shadow._CONSTANT_CYCLES.clear()
         assert _bits(solve_shadow(cat, po)) == bits
+
+
+def test_constant_cycle_keeps_one_length_per_matrix(cat, p24):
+    # one entry per constant matrix, the last cycle length solved, with X
+    # of p*d x 2d entries and a 2d x 2d W; open windows leave it as it is,
+    # and product24's cat factor shares the cat map's entry
+    shadow._CONSTANT_CYCLES.clear()
+    key = cat.constant_jacobian.tobytes()
+    rng = np.random.default_rng(33)
+    for system, p, periodic, kept in [(cat, 16, True, 16), (cat, 3, True, 3),
+                                      (cat, 16, True, 16), (cat, 40, False, 16),
+                                      (p24, 1, True, 1), (p24, 7, False, 1),
+                                      (cat, 2, True, 2)]:
+        z = rng.random((p + (not periodic), system.dim))
+        _chain_step(system, z, rng.standard_normal((p, system.dim)), periodic)
+        assert list(shadow._CONSTANT_CYCLES) == [key]
+        p_kept, (ends, c, x, w) = shadow._CONSTANT_CYCLES[key]
+        assert p_kept == kept and x.shape == (2 * kept, 4) and w.shape == (4, 4)
+        assert ends.tolist() == [0, 1, 2 * kept - 2, 2 * kept - 1]
+
+
+@pytest.mark.parametrize("name", ["cat", "circle-g", "product24"])
+@pytest.mark.parametrize("p", [1, 2, 3, 16, 101])
+def test_cycle_step_has_the_bits_of_one_multi_column_solve(name, p):
+    # a cycle's step solves its right-hand side alone, beside kept or fresh
+    # Woodbury terms; pbtrs solves column by column, and each product of C
+    # rounds once per entry, so the step has the bits of the one
+    # (2d + 1)-column solve written out below
+    from scipy.linalg.lapack import dpbtrs
+
+    system = dyn.make_system(name)
+    rng = np.random.default_rng(p)
+    z = rng.random((p, system.dim))
+    rhs = rng.standard_normal((p, system.dim))
+    for m, s in system.factors:
+        d = m.dim
+        jac = m.jacobian_many(z[:, s:s + d])
+        factor = _band_factor(_normal_band(jac))
+        r = rhs[:, s:s + d].ravel()
+        ends = np.array([*range(d), *range(p * d - d, p * d)])
+        b = np.zeros((p * d, 2 * d + 1), order="F")
+        b[:, 0] = r
+        b[ends, np.arange(1, 2 * d + 1)] = 1.0
+        x, _ = dpbtrs(factor, b, overwrite_b=True)
+        c = np.zeros((2 * d, 2 * d))
+        c[:d, d:], c[d:, :d] = -jac[0], -jac[0].T
+        cx = c @ x[ends]
+        y = x[:, 0] - x[:, 1:] @ np.linalg.solve(np.eye(2 * d) + cx[:, 1:], cx[:, 0])
+        y = y.reshape(p, d)
+        want = -np.einsum("jba,jb->ja", jac, y)
+        want[1:] += y[:-1]
+        want[0] += y[-1]
+        assert np.array_equal(_newton_step(jac, factor, r, True), want)
+        if m.constant_jacobian is not None:
+            shadow._CONSTANT_CYCLES.clear()
+            for _ in range(2):  # formed, then kept
+                got = _newton_step(jac[:1], factor, r, True, shadow._constant_cycle(jac[0], p))
+                assert np.array_equal(got, want)
 
 
 def test_product_open_step_is_the_whole_map_step(p24):

@@ -204,10 +204,21 @@ def test_no_points_is_bad_input(empty):
 
 
 def test_cover_members_and_locate_of_no_points():
+    # a list of no points is zero points of the cover's dimension, not the
+    # one point of no coordinates that np.atleast_2d([]) makes of it
     cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
-    t, b = cover.members(np.zeros((0, 2)))
-    assert t.shape == b.shape == (0,)
-    assert cover.locate(np.zeros((0, 2))).shape == (0,)
+    for empty in (np.zeros((0, 2)), [], (), np.zeros(0)):
+        t, b = cover.members(empty)
+        assert t.shape == b.shape == (0,)
+        located = cover.locate(empty)
+        assert located.shape == (0,) and located.dtype == np.int64
+
+
+def test_cover_lookups_of_a_point_without_coordinates_are_dimension_errors():
+    cover = build_cover(np.random.default_rng(1).random((50, 2)), 0.2)
+    for lookup in (cover.members, cover.locate):
+        with pytest.raises(DimensionMismatchError, match=r"points of shape \(1, 0\)"):
+            lookup([[]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

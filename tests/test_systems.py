@@ -126,8 +126,10 @@ def test_cat_orbit_matches_generic_step_loop(cat):
               [0.0, 0.0], [0.25, 0.5], [3 / 1024, 1001 / 1024]]
     for p in starts:
         p = dyn.as_point(p)
-        orb = cat.orbit(p, 500)
-        assert np.array_equal(orb, dyn.TorusMap.orbit(cat, p, 500))
+        for n in (0, 1, 500):
+            orb = cat.orbit(p, n)
+            assert orb.shape == (n + 1, 2)
+            assert np.array_equal(orb, dyn.TorusMap.orbit(cat, p, n))
     # dyadic starts stay exactly on their lattice
     assert np.array_equal(orb * 1024, np.round(orb * 1024))
 
